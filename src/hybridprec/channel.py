@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HALF_WAVELENGTH = 0.5  # default antenna spacing over carrier wavelength
+NLOS_GAIN_VAR = 0.1  # NLoS path gain variance, 10 dB below the unit-variance LoS path
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def steering_vector(n_antennas: int, angle: float, spacing_ratio: float = HALF_W
 def sample_path_params(
     rng: np.random.Generator,
     p_nlos: int,
-    nlos_gain_var: float = 0.1,
+    nlos_gain_var: float = NLOS_GAIN_VAR,
 ) -> list[PathParams]:
     """Draw one LoS path plus ``p_nlos`` NLoS paths.
 
@@ -119,7 +120,7 @@ def draw_channel(
     nr: int,
     p_nlos: int = 3,
     spacing_ratio: float = HALF_WAVELENGTH,
-    nlos_gain_var: float = 0.1,
+    nlos_gain_var: float = NLOS_GAIN_VAR,
 ) -> ChannelRealization:
     """Sample path parameters and build the corresponding channel in one call."""
     paths = sample_path_params(rng, p_nlos, nlos_gain_var=nlos_gain_var)

@@ -116,9 +116,9 @@ def _parse_value(key: str, raw: str, lineno: int):
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(float(raw))
         if key in _FLOAT_LIST_KEYS:
-            return tuple(float(x) for x in raw.split(","))
+            return tuple(_finite(float(x)) for x in raw.split(","))
         if key in _INT_LIST_KEYS:
             return tuple(int(x) for x in raw.split(","))
         if key in _STR_LIST_KEYS:
@@ -126,6 +126,12 @@ def _parse_value(key: str, raw: str, lineno: int):
         return raw
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r}: {exc}") from exc
+
+
+def _finite(x: float) -> float:
+    if not np.isfinite(x):
+        raise ValueError("value must be finite")
+    return x
 
 
 def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
@@ -139,6 +145,7 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -153,6 +160,7 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, raw, lineno)
+        lines[key] = lineno
     file_kind = values.pop("kind", None)
     if kind is None:
         kind = file_kind
@@ -163,26 +171,41 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
     if kind == "mse" and "schemes" not in values:
         values["schemes"] = MSE_METHODS
     cfg = ExperimentConfig(kind=kind, **values)
-    validate_config(cfg)
+    validate_config(cfg, lines)
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Enforce the dimensional inequalities and per-kind requirements."""
+def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) -> None:
+    """Enforce the dimensional inequalities and per-kind requirements.
+
+    ``lines`` maps config keys to the file lines that set them; a violated
+    cross-key rule then names the last of those lines.
+    """
+
+    def at(*keys: str) -> str:
+        found = [lines[k] for k in keys if lines and k in lines]
+        return f"line {max(found)}: " if found else ""
+
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
     if not cfg.ns <= cfg.nt_rf <= cfg.nt:
         raise ConfigError(
-            f"dimension rule violated ({DIMENSION_RULES}): "
+            f"{at('ns', 'nt_rf', 'nt')}dimension rule violated ({DIMENSION_RULES}): "
             f"ns={cfg.ns}, nt_rf={cfg.nt_rf}, nt={cfg.nt}"
         )
     if not cfg.ns <= cfg.nr_rf <= cfg.nr:
         raise ConfigError(
-            f"dimension rule violated ({DIMENSION_RULES}): "
+            f"{at('ns', 'nr_rf', 'nr')}dimension rule violated ({DIMENSION_RULES}): "
             f"ns={cfg.ns}, nr_rf={cfg.nr_rf}, nr={cfg.nr}"
         )
     if cfg.ns > min(cfg.nt, cfg.nr):
-        raise ConfigError(f"ns={cfg.ns} exceeds min(nt, nr)={min(cfg.nt, cfg.nr)}")
+        raise ConfigError(f"{at('ns', 'nt', 'nr')}ns={cfg.ns} exceeds min(nt, nr)={min(cfg.nt, cfg.nr)}")
+    if cfg.kind != "gmd-check" and cfg.p_nlos + 1 < cfg.ns:
+        # a channel of p_nlos + 1 paths has rank at most p_nlos + 1
+        raise ConfigError(
+            f"{at('p_nlos', 'ns')}p_nlos + 1 >= ns must hold for a rank-ns channel, "
+            f"got p_nlos={cfg.p_nlos}, ns={cfg.ns}"
+        )
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.batch_size < 1:

@@ -55,76 +55,107 @@ def svd(m: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, v=vh.conj().T)
 
 
-def geometric_mean_sigma(sigma: np.ndarray, ns: int) -> float:
+def geometric_mean_sigma(sigma: np.ndarray, ns: int) -> float | np.ndarray:
     """Geometric mean of the ns largest values, computed in the log domain.
 
     Log-domain evaluation keeps products of very small or very large
-    singular values from underflowing or overflowing.
+    singular values from underflowing or overflowing. A (b, k) stack of
+    spectra gives the b means as an array.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if ns < 1 or ns > sigma.size:
-        raise ValueError(f"ns must be in [1, {sigma.size}], got {ns}")
-    top = sigma[:ns]
+    if ns < 1 or ns > sigma.shape[-1]:
+        raise ValueError(f"ns must be in [1, {sigma.shape[-1]}], got {ns}")
+    top = sigma[..., :ns]
     if np.any(top <= 0):
         raise RankDeficiencyError(f"top {ns} singular values must be positive, got {top}")
-    return float(np.exp(np.mean(np.log(top))))
+    means = np.exp(np.mean(np.log(top), axis=-1))
+    return float(means) if sigma.ndim == 1 else means
 
 
-def _gmd_rotations(sigma: np.ndarray, sigma_bar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotate diag(sigma) into an upper triangular matrix with constant diagonal.
+def _gmd_rotations(sigma: np.ndarray, sigma_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotate each diag(sigma[j]) into an upper triangular matrix with constant diagonal.
 
-    Returns (gl, q, gr) with gl^T @ diag(sigma) @ gr = q, gl and gr real
-    orthogonal. At each step a symmetric permutation brings one entry >=
-    sigma_bar and one <= sigma_bar to the pivot pair; the 2x2 rotation then
-    fixes the leading entry to sigma_bar while preserving the determinant,
-    so the trailing entries keep geometric mean sigma_bar.
+    ``sigma`` is a (b, k) stack of spectra and ``sigma_bar`` their (b,)
+    geometric means. Returns (gl, q, gr), each (b, k, k), with
+    gl[j]^T @ diag(sigma[j]) @ gr[j] = q[j], gl and gr real orthogonal. At
+    each step a symmetric permutation brings one entry >= sigma_bar and one
+    <= sigma_bar to the pivot pair; the 2x2 rotation then fixes the leading
+    entry to sigma_bar while preserving the determinant, so the trailing
+    entries keep geometric mean sigma_bar. Instances whose remaining entries
+    already equal the mean skip the step. The 2x2 updates are stacked
+    matmuls, which run the same BLAS kernel per instance as a single
+    matrix would, so an instance's result does not depend on its batch.
     """
-    k = sigma.size
-    gl = np.eye(k)
-    gr = np.eye(k)
-    q = np.diag(sigma.astype(float))
+    b, k = sigma.shape
+    idx = np.arange(k)
+    gl = np.zeros((b, k, k))
+    gl[:, idx, idx] = 1.0
+    gr = gl.copy()
+    q = np.zeros((b, k, k))
+    q[:, idx, idx] = sigma
     for i in range(k - 1):
-        diag = np.diag(q)[i:]
-        hi = i + int(np.argmax(diag))
-        lo = i + int(np.argmin(diag))
-        d_hi, d_lo = q[hi, hi], q[lo, lo]
-        if hi == lo or (
-            abs(d_hi - sigma_bar) <= 1e-15 * sigma_bar and abs(d_lo - sigma_bar) <= 1e-15 * sigma_bar
-        ):
+        diag = q[:, idx[i:], idx[i:]]
+        hi = i + np.argmax(diag, axis=1)
+        lo = i + np.argmin(diag, axis=1)
+        d_hi, d_lo = np.max(diag, axis=1), np.min(diag, axis=1)
+        settled = (np.abs(d_hi - sigma_bar) <= 1e-15 * sigma_bar) & (np.abs(d_lo - sigma_bar) <= 1e-15 * sigma_bar)
+        act = np.flatnonzero((hi != lo) & ~settled)
+        if act.size == 0:
             continue  # everything left already equals the mean
+        hi, lo, sb = hi[act], lo[act], sigma_bar[act]
         # symmetric permutation: entry >= sigma_bar to slot i, entry <= to slot i+1
         perm = _swap_positions(k, i, hi, i + 1, lo)
-        q = q[perm][:, perm]
-        gl = gl[:, perm]
-        gr = gr[:, perm]
-        d1, d2 = q[i, i], q[i + 1, i + 1]
-        if abs(d1 - d2) <= 1e-15 * sigma_bar:
-            c, s = 1.0, 0.0
-        else:
+        inst = act[:, None, None]
+        qa = q[inst, perm[:, :, None], perm[:, None, :]]
+        gla = gl[inst, idx[:, None], perm[:, None, :]]
+        gra = gr[inst, idx[:, None], perm[:, None, :]]
+        d1, d2 = qa[:, i, i], qa[:, i + 1, i + 1]
+        equal = np.abs(d1 - d2) <= 1e-15 * sb
+        with np.errstate(divide="ignore", invalid="ignore"):
             # rounding can push d2 a hair past sigma_bar; keep c^2 in [0, 1]
-            c2 = np.clip((sigma_bar**2 - d2**2) / (d1**2 - d2**2), 0.0, 1.0)
-            c = np.sqrt(c2)
-            s = np.sqrt(1.0 - c2)
-        g2 = np.array([[c, -s], [s, c]])
-        g1 = np.array([[c * d1, -s * d2], [s * d2, c * d1]]) / sigma_bar
-        q[:, i : i + 2] = q[:, i : i + 2] @ g2
-        q[i : i + 2, :] = g1.T @ q[i : i + 2, :]
-        q[i + 1, i] = 0.0  # exact zero by construction
-        q[i, i] = sigma_bar
-        gl[:, i : i + 2] = gl[:, i : i + 2] @ g1
-        gr[:, i : i + 2] = gr[:, i : i + 2] @ g2
-    q[k - 1, k - 1] = sigma_bar
+            c2 = np.clip((_squared(sb) - _squared(d2)) / (_squared(d1) - _squared(d2)), 0.0, 1.0)
+        c = np.where(equal, 1.0, np.sqrt(c2))
+        s = np.where(equal, 0.0, np.sqrt(1.0 - c2))
+        g2 = _stack_2x2(c, -s, s, c)
+        g1 = _stack_2x2(c * d1, -s * d2, s * d2, c * d1) / sb[:, None, None]
+        qa[:, :, i : i + 2] = qa[:, :, i : i + 2] @ g2
+        qa[:, i : i + 2, :] = np.swapaxes(g1, 1, 2) @ qa[:, i : i + 2, :]
+        qa[:, i + 1, i] = 0.0  # exact zero by construction
+        qa[:, i, i] = sb
+        gla[:, :, i : i + 2] = gla[:, :, i : i + 2] @ g1
+        gra[:, :, i : i + 2] = gra[:, :, i : i + 2] @ g2
+        q[act], gl[act], gr[act] = qa, gla, gra
+    q[:, k - 1, k - 1] = sigma_bar
     return gl, q, gr
 
 
-def _swap_positions(k: int, i: int, hi: int, j: int, lo: int) -> np.ndarray:
-    """Permutation of range(k) placing index hi at slot i and lo at slot j."""
-    perm = list(range(k))
-    perm[i], perm[hi] = perm[hi], perm[i]
-    # the first swap may have moved lo
-    lo_pos = perm.index(lo)
-    perm[j], perm[lo_pos] = perm[lo_pos], perm[j]
-    return np.array(perm)
+def _stack_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 matrices [[a, b], [c, d]], C-contiguous so matmul takes its BLAS path."""
+    out = np.empty(a.shape + (2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, d
+    return out
+
+
+def _squared(x: np.ndarray) -> np.ndarray:
+    """Elementwise x**2 rounded as Python floats round it (C ``pow``).
+
+    numpy's vectorized square differs from ``pow`` in the last bit for about
+    one input in a thousand; going through ``pow`` keeps every batched
+    rotation bit-identical to the scalar one that tests/test_decomp.py
+    keeps as its reference.
+    """
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _swap_positions(k: int, i: int, hi: np.ndarray, j: int, lo: np.ndarray) -> np.ndarray:
+    """Per-instance permutations of range(k) placing hi at slot i and lo at slot j."""
+    rows = np.arange(hi.size)
+    perm = np.broadcast_to(np.arange(k), (hi.size, k)).copy()
+    perm[rows, hi], perm[rows, i] = i, hi
+    # the first swap moved lo when lo was at slot i
+    lo_pos = np.where(lo == i, hi, lo)
+    perm[rows, j], perm[rows, lo_pos] = perm[rows, lo_pos], perm[rows, j]
+    return perm
 
 
 def gmd(m: np.ndarray, ns: int) -> GmdFactors:
@@ -144,7 +175,7 @@ def gmd(m: np.ndarray, ns: int) -> GmdFactors:
             f"rank below ns={ns}: sigma_ns={s[-1]:.3e} vs sigma_1={factors.sigma[0]:.3e}"
         )
     sigma_bar = geometric_mean_sigma(factors.sigma, ns)
-    gl, q1, gr = _gmd_rotations(s, sigma_bar)
+    gl, q1, gr = (x[0] for x in _gmd_rotations(s[None], np.array([sigma_bar])))
     w1 = factors.u[:, :ns] @ gl
     r1 = factors.v[:, :ns] @ gr
     return GmdFactors(w1=w1, q1=q1.astype(complex), r1=r1, sigma_bar=sigma_bar)

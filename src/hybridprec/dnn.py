@@ -71,14 +71,16 @@ class PrecoderCodec:
         return self.n_phase + 2 * self.nt_rf * self.ns
 
     def decode(self, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phases (..., nt, nt_rf) and digital precoders (..., nt_rf, ns) from outputs (..., output_dim)."""
         out = np.asarray(out, dtype=float)
-        if out.shape != (self.output_dim,):
+        if out.shape[-1:] != (self.output_dim,):
             raise ValueError(f"expected output of length {self.output_dim}, got shape {out.shape}")
-        phases = out[: self.n_phase].reshape(self.nt, self.nt_rf) * (2.0 * np.pi / self.ns)
-        tail = out[self.n_phase :] - self.ns / 2.0
-        re = tail[: self.nt_rf * self.ns].reshape(self.nt_rf, self.ns)
-        im = tail[self.nt_rf * self.ns :].reshape(self.nt_rf, self.ns)
-        return phases, re + 1j * im
+        lead = out.shape[:-1]
+        phases = out[..., : self.n_phase].reshape(lead + (self.nt, self.nt_rf)) * (2.0 * np.pi / self.ns)
+        tail = out[..., self.n_phase :] - self.ns / 2.0
+        n_d = self.nt_rf * self.ns
+        digital = (tail[..., :n_d] + 1j * tail[..., n_d:]).reshape(lead + (self.nt_rf, self.ns))
+        return phases, digital
 
     def encode(self, phases: np.ndarray, digital: np.ndarray) -> np.ndarray:
         head = np.asarray(phases, dtype=float).reshape(-1) * (self.ns / (2.0 * np.pi))
@@ -281,10 +283,16 @@ def sgd_momentum_step(
     return new_params, new_velocities
 
 
-def feature_vector(h: ChannelRealization) -> np.ndarray:
-    """Concatenated real and imaginary channel entries, scaled to unit RMS."""
-    flat = np.concatenate([h.matrix.real.reshape(-1), h.matrix.imag.reshape(-1)])
-    rms = np.sqrt(np.mean(flat**2))
+def feature_vector(h: ChannelRealization | np.ndarray) -> np.ndarray:
+    """Concatenated real and imaginary channel entries, scaled to unit RMS.
+
+    ``h`` is one channel, or a (b, nr, nt) stack of channel matrices, which
+    gives one feature row per channel.
+    """
+    m = h.matrix if isinstance(h, ChannelRealization) else np.asarray(h)
+    lead = m.shape[:-2]
+    flat = np.concatenate([m.real.reshape(lead + (-1,)), m.imag.reshape(lead + (-1,))], axis=-1)
+    rms = np.sqrt(np.mean(flat**2, axis=-1, keepdims=True))
     return flat / rms
 
 
@@ -352,12 +360,8 @@ def _batch_loss_and_grad(
     feats = np.stack([s.features for s in batch])
     targets = np.stack([s.target for s in batch])
     out, cache = forward(net, feats, mode=mode, rng=rng)
-    # batched decode mirroring PrecoderCodec.decode
+    phases, digital = codec.decode(out)
     phase_scale = 2.0 * np.pi / codec.ns
-    phases = out[:, : codec.n_phase].reshape(b, codec.nt, codec.nt_rf) * phase_scale
-    tail = out[:, codec.n_phase :] - codec.ns / 2.0
-    n_d = codec.nt_rf * codec.ns
-    digital = (tail[:, :n_d] + 1j * tail[:, n_d:]).reshape(b, codec.nt_rf, codec.ns)
     analog = np.exp(1j * phases) / np.sqrt(codec.nt)
     err = targets - analog @ digital
     g_digital = -2.0 * (np.conj(np.swapaxes(analog, 1, 2)) @ err)
@@ -419,8 +423,12 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     return net, np.asarray(history)
 
 
-def infer_precoders(net: Mlp, h: ChannelRealization) -> HybridFactors:
-    """Single forward pass: decode the network output into power-normalized factors."""
+def infer_precoders(net: Mlp, h: ChannelRealization | np.ndarray) -> HybridFactors:
+    """One forward pass, decoded into power-normalized factors.
+
+    ``h`` is one channel, or a (b, nr, nt) stack of channel matrices, which
+    gives stacked (b, nt, nt_rf) analog and (b, nt_rf, ns) digital factors.
+    """
     if net.codec is None:
         raise ValueError("inference requires a network built with a precoder codec")
     out, _ = forward(net, feature_vector(h), mode="infer")

@@ -49,7 +49,10 @@ class SystemDims:
 
 @dataclass(frozen=True)
 class HybridFactors:
-    """Analog (nt x nt_rf, constant modulus 1/sqrt(nt)) and digital (nt_rf x ns) precoders."""
+    """Analog (nt x nt_rf, constant modulus 1/sqrt(nt)) and digital (nt_rf x ns) precoders.
+
+    Both may carry the same leading batch dimensions, one pair per instance.
+    """
 
     analog: np.ndarray
     digital: np.ndarray
@@ -60,7 +63,7 @@ class HybridFactors:
 
     @property
     def nt(self) -> int:
-        return self.analog.shape[0]
+        return self.analog.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -156,19 +159,18 @@ def power_normalize(hf: HybridFactors) -> HybridFactors:
     """Scale the digital part down so trace((R_A R_D)(R_A R_D)^H) <= ns.
 
     Factors already inside the power budget are returned unchanged; the
-    analog part is never touched.
+    analog part is never touched. Stacked factors, (b, nt, nt_rf) analog
+    with (b, nt_rf, ns) digital, are normalized instance by instance.
     """
     scaled, _ = _power_normalize_scale(hf)
     return scaled
 
 
-def _power_normalize_scale(hf: HybridFactors) -> tuple[HybridFactors, float]:
-    ns = hf.digital.shape[1]
-    power = float(np.linalg.norm(hf.product) ** 2)
-    if power <= ns:
-        return hf, 1.0
-    scale = float(np.sqrt(ns / power))
-    return HybridFactors(analog=hf.analog, digital=hf.digital * scale), scale
+def _power_normalize_scale(hf: HybridFactors) -> tuple[HybridFactors, np.ndarray]:
+    ns = hf.digital.shape[-1]
+    power = np.sum(np.abs(hf.product) ** 2, axis=(-2, -1))
+    scale = np.sqrt(ns / np.maximum(power, ns))  # exactly 1 inside the budget
+    return HybridFactors(analog=hf.analog, digital=hf.digital * scale[..., None, None]), scale
 
 
 def precoder_mse(r1, hf) -> float:
@@ -280,7 +282,7 @@ def factorize_sgd(
             break
     factors, scale = _power_normalize_scale(HybridFactors(analog=analog_from_phases(phases), digital=digital))
     return FactorizeResult(
-        factors=factors, loss_trace=np.asarray(trace), converged=converged, power_scale=scale
+        factors=factors, loss_trace=np.asarray(trace), converged=converged, power_scale=float(scale)
     )
 
 

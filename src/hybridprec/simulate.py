@@ -6,28 +6,27 @@ is total transmit power (ns) over per-antenna noise power. Hybrid schemes
 all use the GMD combiner W1 at the receiver so the precoder is the only
 varying factor. Detection is successive interference cancellation down the
 upper triangular effective channel. Every result is a deterministic
-function of (configuration, master seed): each trial owns a counter-derived
-generator, so neither scheduling order nor thread count can change the
-numbers.
+function of (configuration, master seed): each grid point has its own
+Philox key, derived from (seed, point), and trial t reads a fixed-size block
+of counters at offset t times the block size. Its paths, bits, noise and
+factorization seed are therefore a pure function of (seed, point, t), so
+neither chunking nor thread count can change the numbers, and a shorter run
+reproduces the first trials of a longer one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from hybridprec.channel import ChannelRealization, sample_path_params
+from hybridprec.channel import NLOS_GAIN_VAR, ChannelRealization
+# re-exported: perfbench/tracer.py wraps the name at this path
+from hybridprec.channel import sample_path_params  # noqa: F401
 from hybridprec.decomp import RankDeficiencyError, _gmd_rotations, geometric_mean_sigma, gmd
 from hybridprec.dnn import Mlp, infer_precoders
-from hybridprec.precoder import (
-    FactorizeConfig,
-    SystemDims,
-    factorize_sgd_batch,
-    fully_digital_svd,
-    phase_projection_baseline,
-)
+from hybridprec.precoder import FactorizeConfig, HybridFactors, SystemDims, factorize_sgd_batch, power_normalize
 
 SCHEME_IDS = (
     "dnn_hybrid",
@@ -164,9 +163,8 @@ def sic_detect(q1: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointEnsemble:
-    """Channels plus their decompositions and per-trial randomness for one grid point."""
+    """Channels, their decompositions and the per-trial randomness of one grid point."""
 
-    channels: list[ChannelRealization]
     h: np.ndarray  # (b, nr, nt) stacked channel matrices
     u: np.ndarray  # (b, nr, k) left singular vectors
     sigma: np.ndarray  # (b, k) singular values
@@ -174,15 +172,50 @@ class PointEnsemble:
     w1: np.ndarray  # (b, nr, ns) GMD combiners
     q1: np.ndarray  # (b, ns, ns) GMD effective channels
     r1: np.ndarray  # (b, nt, ns) GMD precoders
-    rngs: list[np.random.Generator]
-    factor_seeds: list[np.random.SeedSequence]
+    bits: np.ndarray  # (b, 2 ns) QPSK payload bits
+    noise: np.ndarray  # (b, nr) unit-variance circular complex Gaussian noise
+    factor_seeds: np.ndarray  # (b,) uint64 seeds of the factorization starts
 
 
-def _spawn(seed: int, *key: int) -> tuple[np.random.Generator, np.random.SeedSequence]:
-    """Counter-derived generator for one trial plus a child seed for its factorization."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
-    rng_ss, factor_ss = ss.spawn(2)
-    return np.random.Generator(np.random.PCG64(rng_ss)), factor_ss
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from the top 53 bits of raw 64-bit words."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _complex_normal(radius_words: np.ndarray, phase_words: np.ndarray) -> np.ndarray:
+    """Unit-variance circular complex Gaussians by Box-Muller, one per word pair."""
+    return np.sqrt(-np.log(1.0 - _uniform(radius_words))) * np.exp(2j * np.pi * _uniform(phase_words))
+
+
+def _draw_trials(dims: SystemDims, seed: int, point: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Random draws of trials lo..hi-1 of one grid point, with fixed consumption.
+
+    Trial t reads its own block of Philox counters, at offset t times the
+    block size, under a key derived from (seed, point). The block holds per
+    path a gain (two words, Box-Muller), an AoD and an AoA; one word per
+    payload bit; two words per receive antenna for the noise; and one
+    factorization seed. Returns (gains (b, P), aod (b, P), aoa (b, P), bits
+    (b, 2 ns), noise (b, nr), factor_seeds (b,)) with P = p_nlos + 1 paths,
+    LoS first; angles are uniform on [-pi/2, pi/2).
+    """
+    n_paths = dims.p_nlos + 1
+    widths = (n_paths, n_paths, n_paths, n_paths, 2 * dims.ns, dims.nr, dims.nr, 1)
+    blocks = -(-sum(widths) // 4)  # Philox4x64 yields four words per counter
+    key = np.random.SeedSequence(seed, spawn_key=(point,)).generate_state(2, np.uint64)
+    words = np.random.Philox(key=key, counter=lo * blocks).random_raw((hi - lo) * 4 * blocks)
+    words = words.reshape(hi - lo, 4 * blocks)[:, : sum(widths)]
+    gain_r, gain_phase, aod, aoa, bits, noise_r, noise_phase, factor_seeds = np.split(
+        words, np.cumsum(widths)[:-1], axis=1
+    )
+    gain_std = np.sqrt(np.r_[1.0, np.full(dims.p_nlos, NLOS_GAIN_VAR)])
+    return (
+        _complex_normal(gain_r, gain_phase) * gain_std,
+        np.pi * (_uniform(aod) - 0.5),
+        np.pi * (_uniform(aoa) - 0.5),
+        (bits >> np.uint64(63)).astype(np.int64),
+        _complex_normal(noise_r, noise_phase),
+        factor_seeds[:, 0],
+    )
 
 
 def draw_ensemble(
@@ -190,53 +223,31 @@ def draw_ensemble(
 ) -> PointEnsemble:
     """Draw ``trials`` channels with their SVD and GMD factors, batched.
 
-    Matrix assembly and the SVD run on stacked arrays; the random draws
-    themselves happen per trial in counter order, so the ensemble is
-    identical however many threads run the chunks.
+    Chunks of ``_SETUP_CHUNK`` trials run on ``threads`` workers; a chunk
+    only sets the counter offset of :func:`_draw_trials`, so the ensemble is
+    the same for every thread count, and its first trials equal a shorter
+    draw at the same (seed, point).
     """
+    kt = np.arange(dims.nt)
+    kr = np.arange(dims.nr)
+    scale = np.sqrt(dims.nt * dims.nr / (dims.p_nlos + 1))
 
     def build_chunk(lo: int) -> PointEnsemble:
-        hi = min(lo + _SETUP_CHUNK, trials)
-        b = hi - lo
-        rngs, factor_seeds, path_lists = [], [], []
-        gains = np.empty((b, dims.p_nlos + 1), dtype=complex)
-        aod = np.empty((b, dims.p_nlos + 1))
-        aoa = np.empty((b, dims.p_nlos + 1))
-        for i, t in enumerate(range(lo, hi)):
-            rng, factor_ss = _spawn(seed, point, t)
-            paths = sample_path_params(rng, dims.p_nlos)
-            rngs.append(rng)
-            factor_seeds.append(factor_ss)
-            path_lists.append(paths)
-            gains[i] = [p.gain for p in paths]
-            aod[i] = [p.aod for p in paths]
-            aoa[i] = [p.aoa for p in paths]
+        gains, aod, aoa, bits, noise, factor_seeds = _draw_trials(
+            dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials)
+        )
         # batched steering outer products, same formula as generate_channel
-        kt = np.arange(dims.nt)
-        kr = np.arange(dims.nr)
         a_t = np.exp(-2j * np.pi * dims.spacing_ratio * np.sin(aod)[..., None] * kt) / np.sqrt(dims.nt)
         a_r = np.exp(-2j * np.pi * dims.spacing_ratio * np.sin(aoa)[..., None] * kr) / np.sqrt(dims.nr)
-        scale = np.sqrt(dims.nt * dims.nr / (dims.p_nlos + 1))
         h = scale * np.einsum("bp,bpr,bpt->brt", gains, a_r, a_t.conj())
-        channels = [
-            ChannelRealization(matrix=h[i], paths=tuple(path_lists[i]), nt=dims.nt, nr=dims.nr,
-                               spacing_ratio=dims.spacing_ratio)
-            for i in range(b)
-        ]
         u, s, vh = np.linalg.svd(h, full_matrices=False)
         if np.any(s[:, dims.ns - 1] <= 1e-12 * s[:, 0]):
             raise RankDeficiencyError(f"rank-deficient channel draw at point {point}")
-        gl = np.empty((b, dims.ns, dims.ns))
-        gr = np.empty((b, dims.ns, dims.ns))
-        q1 = np.empty((b, dims.ns, dims.ns), dtype=complex)
-        for i in range(b):
-            sigma_bar = geometric_mean_sigma(s[i], dims.ns)
-            gl[i], q, gr[i] = _gmd_rotations(s[i, : dims.ns], sigma_bar)
-            q1[i] = q
-        w1 = u[:, :, : dims.ns] @ gl
+        gl, q1, gr = _gmd_rotations(s[:, : dims.ns], geometric_mean_sigma(s, dims.ns))
         v = np.conj(np.swapaxes(vh, 1, 2))
+        w1 = u[:, :, : dims.ns] @ gl
         r1 = v[:, :, : dims.ns] @ gr
-        return PointEnsemble(channels, h, u, s, v, w1, q1, r1, rngs, factor_seeds)
+        return PointEnsemble(h, u, s, v, w1, q1.astype(complex), r1, bits, noise, factor_seeds)
 
     starts = list(range(0, trials, _SETUP_CHUNK))
     if threads > 1 and len(starts) > 1:
@@ -246,18 +257,7 @@ def draw_ensemble(
         parts = [build_chunk(lo) for lo in starts]
     if len(parts) == 1:
         return parts[0]
-    return PointEnsemble(
-        channels=[c for p in parts for c in p.channels],
-        h=np.concatenate([p.h for p in parts]),
-        u=np.concatenate([p.u for p in parts]),
-        sigma=np.concatenate([p.sigma for p in parts]),
-        v=np.concatenate([p.v for p in parts]),
-        w1=np.concatenate([p.w1 for p in parts]),
-        q1=np.concatenate([p.q1 for p in parts]),
-        r1=np.concatenate([p.r1 for p in parts]),
-        rngs=[r for p in parts for r in p.rngs],
-        factor_seeds=[f for p in parts for f in p.factor_seeds],
-    )
+    return PointEnsemble(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(PointEnsemble)))
 
 
 def build_scheme_factors(
@@ -274,7 +274,6 @@ def build_scheme_factors(
     products R_A R_D.
     """
     validate_scheme(scheme)
-    b = len(ensemble.channels)
     ns = dims.ns
     if scheme == "fully_digital_gmd":
         return ensemble.r1, ensemble.w1
@@ -283,8 +282,7 @@ def build_scheme_factors(
     if scheme == "phase_projection":
         analog = np.exp(1j * np.angle(ensemble.r1)) / np.sqrt(dims.nt)
         digital = np.conj(np.swapaxes(analog, 1, 2)) @ ensemble.r1
-        product = analog @ digital
-        return _clip_power(product, ns), ensemble.w1
+        return power_normalize(HybridFactors(analog=analog, digital=digital)).product, ensemble.w1
     if scheme == "sgd_hybrid":
         if cfg is None:
             raise ValueError("sgd_hybrid requires a FactorizeConfig")
@@ -296,17 +294,7 @@ def build_scheme_factors(
     # dnn_hybrid
     if net is None:
         raise ValueError("dnn_hybrid requires a trained network")
-    product = np.stack(
-        [infer_precoders(net, ch).product for ch in ensemble.channels]
-    )
-    return product, ensemble.w1
-
-
-def _clip_power(product: np.ndarray, ns: int) -> np.ndarray:
-    """Scale each stacked precoder down to the trace power budget ns."""
-    power = np.sum(np.abs(product) ** 2, axis=(1, 2))
-    scale = np.minimum(1.0, np.sqrt(ns / power))
-    return product * scale[:, None, None]
+    return infer_precoders(net, ensemble.h).product, ensemble.w1
 
 
 def wilson_halfwidth(errors: int, n: int, z: float = 1.96) -> float:
@@ -333,9 +321,10 @@ def ber_curve(
     Each point draws ``trials`` independent channels (one QPSK symbol vector
     each), builds the scheme's precoder/combiner, transmits through the true
     channel and detects by SIC on the upper triangle of the effective
-    matrix. Identical seeds give identical channels for every scheme, so
-    curves are paired, and the first ``trials`` draws of a longer run
-    coincide with a shorter run at the same seed.
+    matrix. Identical seeds give identical channels, bits and unit noise for
+    every scheme, so curves are paired. Each trial reads its own block of
+    Philox counters, so the first ``trials`` draws of a longer run coincide
+    with a shorter run at the same seed, bit for bit.
     """
     validate_scheme(scheme)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
@@ -346,20 +335,13 @@ def ber_curve(
     for point, snr_db in enumerate(snr_grid_db):
         ensemble = draw_ensemble(dims, trials, seed, point, threads)
         precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
-        sigma = noise_sigma_for_snr(float(snr_db), dims.ns)
-        bits = np.stack([rng.integers(0, 2, size=bits_per_trial) for rng in ensemble.rngs])
-        noise = np.stack(
-            [
-                rng.standard_normal(dims.nr) + 1j * rng.standard_normal(dims.nr)
-                for rng in ensemble.rngs
-            ]
-        ) * (sigma / np.sqrt(2.0))
-        s = qpsk_map(bits)
+        noise = noise_sigma_for_snr(float(snr_db), dims.ns) * ensemble.noise
+        s = qpsk_map(ensemble.bits)
         comb_h = np.conj(np.swapaxes(combiners, 1, 2))
         q_true = comb_h @ ensemble.h @ precoders
         y = (q_true @ s[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
         s_hat = sic_detect(np.triu(q_true), y)
-        bit_errors = int(np.sum(qpsk_demap(s_hat) != bits))
+        bit_errors = int(np.sum(qpsk_demap(s_hat) != ensemble.bits))
         n_bits = trials * bits_per_trial
         bers.append(bit_errors / n_bits)
         cis.append(wilson_halfwidth(bit_errors, n_bits))
@@ -376,29 +358,34 @@ def ber_curve(
 
 
 def spectral_efficiency(
-    h: ChannelRealization,
+    h: ChannelRealization | np.ndarray,
     precoder: np.ndarray,
     combiner: np.ndarray,
     snr_db: float,
-) -> float:
+) -> float | np.ndarray:
     """Gaussian-signaling rate log2 det(I + Rn^-1 Heff Heff^H), bits/s/Hz.
 
     Heff = combiner^H H precoder and Rn = sigma^2 combiner^H combiner whiten
     the combined noise; the precoder carries the transmit power (trace
-    budget ns), so no extra power factor appears.
+    budget ns), so no extra power factor appears. ``h`` is one channel, or a
+    (b, nr, nt) stack of channel matrices with (b, nt, ns) precoders and
+    (b, nr, ns) combiners, which gives the b rates as an array.
     """
-    heff = combiner.conj().T @ h.matrix @ precoder
-    ns = precoder.shape[1]
+    matrices = h.matrix if isinstance(h, ChannelRealization) else np.asarray(h)
+    comb_h = np.conj(np.swapaxes(combiner, -1, -2))
+    heff = comb_h @ matrices @ precoder
+    ns = precoder.shape[-1]
     sigma2 = ns * 10.0 ** (-snr_db / 10.0)
-    rn = sigma2 * (combiner.conj().T @ combiner)
+    rn = sigma2 * (comb_h @ combiner)
     try:
-        m = np.linalg.solve(rn, heff @ heff.conj().T)
+        m = np.linalg.solve(rn, heff @ np.conj(np.swapaxes(heff, -1, -2)))
     except np.linalg.LinAlgError as exc:
         raise ValueError("noise covariance is singular (rank-deficient combiner)") from exc
     if not np.all(np.isfinite(m)):
         raise ValueError("noise covariance is singular (rank-deficient combiner)")
-    _, logabsdet = np.linalg.slogdet(np.eye(heff.shape[0]) + m)
-    return float(logabsdet / np.log(2.0))
+    _, logabsdet = np.linalg.slogdet(np.eye(heff.shape[-2]) + m)
+    rates = logabsdet / np.log(2.0)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def se_curve(
@@ -421,14 +408,7 @@ def se_curve(
     ensemble = draw_ensemble(dims, n_channels, seed, 0, threads)
     precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
     means = [
-        float(
-            np.mean(
-                [
-                    spectral_efficiency(ch, precoders[i], combiners[i], float(snr))
-                    for i, ch in enumerate(ensemble.channels)
-                ]
-            )
-        )
+        float(np.mean(spectral_efficiency(ensemble.h, precoders, combiners, float(snr))))
         for snr in snr_grid_db
     ]
     return SeCurve(

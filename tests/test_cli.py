@@ -57,6 +57,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ns <= nt_rf <= nt"):
             parse_config(write_config(tmp_path, "ns = 4\nnt_rf = 2\n"), kind="ber")
 
+    def test_too_few_paths_for_streams_with_line_number(self, tmp_path):
+        # p_nlos = 0 draws rank-1 channels, which cannot carry ns = 2 streams
+        with pytest.raises(ConfigError, match=r"line 2: p_nlos \+ 1 >= ns"):
+            parse_config(write_config(tmp_path, "ns = 2\np_nlos = 0\n"), kind="ber")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("learning_rate = nan\n", 1),
+            ("seed = 1\nsnr_grid_db = nan, inf\n", 2),
+            ("snr_grid_db = -5, inf\n", 1),
+        ],
+    )
+    def test_non_finite_value_with_line_number(self, tmp_path, text, line):
+        with pytest.raises(ConfigError, match=f"line {line}: .*must be finite"):
+            parse_config(write_config(tmp_path, text), kind="ber")
+
     def test_unknown_key_with_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(write_config(tmp_path, "seed = 1\nbogus = 2\n"), kind="ber")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridprec.decomp import RankDeficiencyError, geometric_mean_sigma, gmd, svd
+from hybridprec.decomp import RankDeficiencyError, _gmd_rotations, geometric_mean_sigma, gmd, svd
 
 
 def random_complex(rng, shape):
@@ -127,3 +129,77 @@ class TestGmd:
     def test_ns_out_of_range(self):
         with pytest.raises(ValueError):
             gmd(np.eye(3), 4)
+
+
+def scalar_rotations(sigma, sigma_bar):
+    """Reference: the one-instance rotation loop the batched kernel must reproduce bit for bit."""
+    k = sigma.size
+    gl = np.eye(k)
+    gr = np.eye(k)
+    q = np.diag(sigma.astype(float))
+    for i in range(k - 1):
+        diag = np.diag(q)[i:]
+        hi = i + int(np.argmax(diag))
+        lo = i + int(np.argmin(diag))
+        d_hi, d_lo = q[hi, hi], q[lo, lo]
+        if hi == lo or (
+            abs(d_hi - sigma_bar) <= 1e-15 * sigma_bar and abs(d_lo - sigma_bar) <= 1e-15 * sigma_bar
+        ):
+            continue
+        perm = list(range(k))
+        perm[i], perm[hi] = perm[hi], perm[i]
+        lo_pos = perm.index(lo)
+        perm[i + 1], perm[lo_pos] = perm[lo_pos], perm[i + 1]
+        q = q[perm][:, perm]
+        gl = gl[:, perm]
+        gr = gr[:, perm]
+        d1, d2 = q[i, i], q[i + 1, i + 1]
+        if abs(d1 - d2) <= 1e-15 * sigma_bar:
+            c, s = 1.0, 0.0
+        else:
+            c2 = np.clip((sigma_bar**2 - d2**2) / (d1**2 - d2**2), 0.0, 1.0)
+            c = np.sqrt(c2)
+            s = np.sqrt(1.0 - c2)
+        g2 = np.array([[c, -s], [s, c]])
+        g1 = np.array([[c * d1, -s * d2], [s * d2, c * d1]]) / sigma_bar
+        q[:, i : i + 2] = q[:, i : i + 2] @ g2
+        q[i : i + 2, :] = g1.T @ q[i : i + 2, :]
+        q[i + 1, i] = 0.0
+        q[i, i] = sigma_bar
+        gl[:, i : i + 2] = gl[:, i : i + 2] @ g1
+        gr[:, i : i + 2] = gr[:, i : i + 2] @ g2
+    q[k - 1, k - 1] = sigma_bar
+    return gl, q, gr
+
+
+# descending spectra, ns from 1 to 6; the sampled values make ties and
+# all-equal rows common, which take the kernel's skip branches
+spectra = st.integers(1, 6).flatmap(
+    lambda ns: st.lists(
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-3, 1e3), min_size=ns, max_size=ns),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+class TestBatchedRotations:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spectra)
+    def test_invariants_and_batch_of_one(self, rows):
+        sigma = -np.sort(-np.array(rows), axis=1)
+        ns = sigma.shape[1]
+        sigma_bar = geometric_mean_sigma(sigma, ns)
+        gl, q, gr = _gmd_rotations(sigma, sigma_bar)
+        eye = np.eye(ns)
+        for j in range(sigma.shape[0]):
+            assert np.linalg.norm(gl[j].T @ gl[j] - eye) <= 1e-12
+            assert np.linalg.norm(gr[j].T @ gr[j] - eye) <= 1e-12
+            np.testing.assert_allclose(gl[j].T @ np.diag(sigma[j]) @ gr[j], q[j], rtol=0, atol=1e-12 * sigma[j, 0])
+            assert np.all(np.tril(q[j], -1) == 0)
+            np.testing.assert_allclose(np.diag(q[j]), sigma_bar[j], rtol=1e-12)
+            one = _gmd_rotations(sigma[j : j + 1], sigma_bar[j : j + 1])
+            ref = scalar_rotations(sigma[j], float(sigma_bar[j]))
+            for batched, single, scalar in zip((gl, q, gr), one, ref):
+                assert np.array_equal(batched[j], single[0])
+                assert np.array_equal(batched[j], scalar)

@@ -282,6 +282,13 @@ class TestCodecAndInference:
         np.testing.assert_allclose(np.abs(hf.analog), 1 / np.sqrt(8), atol=1e-12)
         assert np.linalg.norm(hf.product) ** 2 <= 2 + 1e-9
 
+    def test_infer_stack_matches_single_channels(self):
+        net = build_precoder_mlp(self.dims, seed=3)
+        chans = [draw_channel(np.random.default_rng(20 + i), 8, 4, 3) for i in range(5)]
+        stacked = infer_precoders(net, np.stack([ch.matrix for ch in chans]))
+        for i, ch in enumerate(chans):
+            np.testing.assert_allclose(stacked.product[i], infer_precoders(net, ch).product, rtol=0, atol=1e-12)
+
     def test_infer_single_forward_deterministic(self):
         net = build_precoder_mlp(self.dims, seed=3)
         ch = draw_channel(np.random.default_rng(12), 8, 4, 3)

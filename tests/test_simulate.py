@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from hybridprec.precoder import (
     hybrid_loss,
 )
 from hybridprec.simulate import (
+    PointEnsemble,
+    _draw_trials,
     ber_curve,
     draw_ensemble,
     iterations_to_plateau,
@@ -105,24 +109,56 @@ class TestSicDetect:
 
     def test_high_snr_error_rate(self):
         # 40 dB: interference-free triangular detection is essentially error-free
-        rng = np.random.default_rng(7)
         n_trials = 25_000  # 100k bits at 4 bits per trial
-        errors = 0
         sigma = noise_sigma_for_snr(40.0, 2)
         ens = draw_ensemble(DIMS, n_trials, seed=123, point=0)
-        bits = np.stack([r.integers(0, 2, 4) for r in ens.rngs])
-        s = qpsk_map(bits)
-        noise = np.stack([r.standard_normal(8) + 1j * r.standard_normal(8) for r in ens.rngs])
-        noise *= sigma / np.sqrt(2.0)
+        s = qpsk_map(ens.bits)
+        noise = sigma * ens.noise
         y = (ens.q1 @ s[..., None])[..., 0]
         y += (np.conj(np.swapaxes(ens.w1, 1, 2)) @ noise[..., None])[..., 0]
         s_hat = sic_detect(ens.q1, y)
-        errors = int(np.sum(qpsk_demap(s_hat) != bits))
+        errors = int(np.sum(qpsk_demap(s_hat) != ens.bits))
         assert errors / (n_trials * 4) < 1e-4
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             sic_detect(np.array([[0.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+
+
+class TestDrawEnsemble:
+    def test_prefix_and_thread_invariance_bit_for_bit(self):
+        # 2500 trials span three 1024-trial chunks
+        full = draw_ensemble(DIMS, 2500, seed=21, point=3)
+        threaded = draw_ensemble(DIMS, 2500, seed=21, point=3, threads=4)
+        short = draw_ensemble(DIMS, 1000, seed=21, point=3)
+        across = draw_ensemble(DIMS, 1500, seed=21, point=3)
+        for f in fields(PointEnsemble):
+            a = getattr(full, f.name)
+            assert np.array_equal(a, getattr(threaded, f.name)), f.name
+            assert np.array_equal(a[:1000], getattr(short, f.name)), f.name
+            assert np.array_equal(a[:1500], getattr(across, f.name)), f.name
+
+    def test_points_draw_different_streams(self):
+        a = draw_ensemble(DIMS, 10, seed=21, point=3)
+        b = draw_ensemble(DIMS, 10, seed=21, point=4)
+        assert not np.any(a.h == b.h)
+
+    def test_sampler_moments(self):
+        gains, aod, aoa, bits, noise, factor_seeds = _draw_trials(DIMS, seed=22, point=0, lo=0, hi=20_000)
+        for angles in (aod, aoa):
+            assert np.all(np.abs(angles) <= np.pi / 2)
+            assert abs(np.mean(angles)) < 0.02
+            assert np.var(angles) == pytest.approx(np.pi**2 / 12, rel=0.02)
+        power = np.abs(gains) ** 2
+        np.testing.assert_allclose(np.mean(power, axis=0), [1.0, 0.1, 0.1, 0.1], rtol=0.05)
+        # complex Gaussian: E|g|^4 = 2 (E|g|^2)^2
+        np.testing.assert_allclose(np.mean(power**2, axis=0) / np.mean(power, axis=0) ** 2, 2.0, rtol=0.1)
+        assert set(np.unique(bits)) == {0, 1}
+        assert abs(np.mean(bits) - 0.5) < 0.01
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, rel=0.02)
+        assert np.mean(np.abs(noise) ** 4) == pytest.approx(2.0, rel=0.05)
+        assert abs(np.mean(noise**2)) < 0.02  # circular
+        assert len(np.unique(factor_seeds)) == len(factor_seeds)
 
 
 class TestBerCurve:
@@ -203,6 +239,12 @@ class TestSpectralEfficiency:
         f = gmd(ch.matrix, 2)
         values = [spectral_efficiency(ch, f.r1, f.w1, snr) for snr in (-10, 0, 10, 20)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_stack_matches_single_channels(self):
+        ens = draw_ensemble(DIMS, 6, seed=23, point=0)
+        rates = spectral_efficiency(ens.h, ens.r1, ens.w1, 5.0)
+        singles = [spectral_efficiency(wrap_channel(h), r, w, 5.0) for h, r, w in zip(ens.h, ens.r1, ens.w1)]
+        np.testing.assert_allclose(rates, singles, rtol=1e-12)
 
     def test_rank_deficient_combiner_rejected(self):
         ch = wrap_channel(np.diag([4.0, 1.0]))
