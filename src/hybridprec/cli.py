@@ -271,7 +271,9 @@ def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict):
         model_path = Path(cfg.model)
         if not model_path.is_absolute():
             model_path = config_dir / model_path
-        return load_mlp(str(model_path))
+        net = load_mlp(str(model_path))
+        _check_model(net, cfg.dims(), model_path)
+        return net
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     data = build_dataset(cfg.dims(), cfg.train_size, rng)
@@ -279,6 +281,19 @@ def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict):
     net, _ = train(net, data, cfg.factorize_config())
     stages["train"] = time.perf_counter() - t0
     return net
+
+
+def _check_model(net, dims: SystemDims, path: Path) -> None:
+    """Reject a loaded network whose codec or input width does not fit the config."""
+    # build_precoder_mlp's input is the real and imaginary parts of H
+    want = (dims.nt, dims.nt_rf, dims.ns, 2 * dims.nt * dims.nr)
+    codec = net.codec
+    got = (codec.nt, codec.nt_rf, codec.ns, net.input_dim) if codec else None
+    if got != want:
+        raise ConfigError(
+            f"model {path} does not fit the config: its (nt, nt_rf, ns, input_dim) is {got}, "
+            f"the config needs {want} (input_dim = 2 * nt * nr)"
+        )
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str | Path = ".") -> list[Path]:
@@ -297,31 +312,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
         t0 = time.perf_counter()
         if cfg.kind == "ber":
             net = _model_for(cfg, Path(config_dir), stages)
-            rows = []
-            for scheme in cfg.schemes:
-                curve = ber_curve(
-                    scheme, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
-                    cfg=cfg.factorize_config(), net=net, threads=threads,
-                )
-                rows.extend(
-                    [snr, scheme, ber, ci, cfg.trials]
-                    for snr, ber, ci in zip(curve.snr_db, curve.ber, curve.ci_halfwidth)
-                )
+            curves = ber_curve(
+                cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
+                cfg=cfg.factorize_config(), net=net, threads=threads,
+            )
+            rows = [
+                [snr, curve.scheme, ber, ci, cfg.trials]
+                for curve in curves
+                for snr, ber, ci in zip(curve.snr_db, curve.ber, curve.ci_halfwidth)
+            ]
             csv_path = out_dir / "ber.csv"
             _write_csv(csv_path, ["snr_db", "scheme", "ber", "ci_halfwidth", "trials"], rows)
             outputs.append(csv_path)
             outputs.append(emit_plot_script(csv_path))
         elif cfg.kind == "se":
             net = _model_for(cfg, Path(config_dir), stages)
-            rows = []
-            for scheme in cfg.schemes:
-                curve = se_curve(
-                    scheme, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
-                    cfg=cfg.factorize_config(), net=net, threads=threads,
-                )
-                rows.extend(
-                    [snr, scheme, se] for snr, se in zip(curve.snr_db, curve.bits_per_s_hz)
-                )
+            curves = se_curve(
+                cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
+                cfg=cfg.factorize_config(), net=net, threads=threads,
+            )
+            rows = [
+                [snr, curve.scheme, se]
+                for curve in curves
+                for snr, se in zip(curve.snr_db, curve.bits_per_s_hz)
+            ]
             csv_path = out_dir / "se.csv"
             _write_csv(csv_path, ["snr_db", "scheme", "bits_per_s_hz"], rows)
             outputs.append(csv_path)

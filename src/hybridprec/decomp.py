@@ -33,15 +33,19 @@ class SvdFactors:
 
 @dataclass(frozen=True)
 class GmdFactors:
-    """Rank-ns GMD: w1 (nr x ns), q1 (ns x ns upper triangular), r1 (nt x ns)."""
+    """Rank-ns GMD: w1 (nr x ns), q1 (ns x ns upper triangular), r1 (nt x ns).
+
+    Factors of a (b, nr, nt) stack carry a leading batch axis, and sigma_bar
+    is then a (b,) array.
+    """
 
     w1: np.ndarray
     q1: np.ndarray
     r1: np.ndarray
-    sigma_bar: float
+    sigma_bar: float | np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.w1 @ self.q1 @ self.r1.conj().T
+        return self.w1 @ self.q1 @ self.r1.conj().swapaxes(-1, -2)
 
 
 def svd(m: np.ndarray) -> SvdFactors:
@@ -164,18 +168,40 @@ def gmd(m: np.ndarray, ns: int) -> GmdFactors:
     w1 @ q1 @ r1^H equals the rank-ns SVD truncation of m; the diagonal of q1
     is real, positive, and constant at the geometric mean of the ns largest
     singular values. Raises RankDeficiencyError when sigma_ns is numerically
-    zero relative to sigma_1.
+    zero relative to sigma_1. ``m`` may be a (b, nr, nt) stack: one batched
+    SVD, then the rotations of all b matrices at once; a single matrix is a
+    batch of one.
     """
-    factors = svd(m)
-    if ns < 1 or ns > factors.sigma.size:
-        raise ValueError(f"ns must be in [1, {factors.sigma.size}], got {ns}")
-    s = factors.sigma[:ns]
-    if s[-1] <= 1e-12 * factors.sigma[0]:
+    m = np.asarray(m)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    stack = m if m.ndim == 3 else m[None]
+    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    if ns < 1 or ns > sigma.shape[-1]:
+        raise ValueError(f"ns must be in [1, {sigma.shape[-1]}], got {ns}")
+    deficient = np.flatnonzero(sigma[:, ns - 1] <= 1e-12 * sigma[:, 0])
+    if deficient.size:
+        j = deficient[0]
+        where = f" (matrix {j} of the stack)" if m.ndim == 3 else ""
         raise RankDeficiencyError(
-            f"rank below ns={ns}: sigma_ns={s[-1]:.3e} vs sigma_1={factors.sigma[0]:.3e}"
+            f"rank below ns={ns}{where}: sigma_ns={sigma[j, ns - 1]:.3e} vs sigma_1={sigma[j, 0]:.3e}"
         )
-    sigma_bar = geometric_mean_sigma(factors.sigma, ns)
-    gl, q1, gr = (x[0] for x in _gmd_rotations(s[None], np.array([sigma_bar])))
-    w1 = factors.u[:, :ns] @ gl
-    r1 = factors.v[:, :ns] @ gr
-    return GmdFactors(w1=w1, q1=q1.astype(complex), r1=r1, sigma_bar=sigma_bar)
+    w1, q1, r1, sigma_bar = gmd_from_svd(u, sigma, np.conj(np.swapaxes(vh, 1, 2)), ns)
+    if m.ndim == 2:
+        return GmdFactors(w1=w1[0], q1=q1[0], r1=r1[0], sigma_bar=float(sigma_bar[0]))
+    return GmdFactors(w1=w1, q1=q1, r1=r1, sigma_bar=sigma_bar)
+
+
+def gmd_from_svd(
+    u: np.ndarray, sigma: np.ndarray, v: np.ndarray, ns: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked GMD factors (w1, q1, r1, sigma_bar) from a batched thin SVD.
+
+    ``u`` (b, nr, k), ``sigma`` (b, k) and ``v`` (b, nt, k) hold the SVD of
+    b matrices whose ns largest singular values are positive.
+    """
+    sigma_bar = geometric_mean_sigma(sigma, ns)
+    gl, q1, gr = _gmd_rotations(sigma[:, :ns], sigma_bar)
+    return u[:, :, :ns] @ gl, q1.astype(complex), v[:, :, :ns] @ gr, sigma_bar

@@ -12,6 +12,14 @@ of counters at offset t times the block size. Its paths, bits, noise and
 factorization seed are therefore a pure function of (seed, point, t), so
 neither chunking nor thread count can change the numbers, and a shorter run
 reproduces the first trials of a longer one.
+
+A BER or SE curve draws its ensemble once: the channels, their SVD/GMD and
+the factorization seeds come from the (seed, 0) blocks, and every scheme's
+precoder and combiner is built once on them. Each SNR point p then reads
+only the bits and unit noise of its (seed, p) blocks. All schemes and all
+points therefore share one set of channels (common random numbers): each
+point keeps its marginal law, so per-point Wilson intervals remain valid,
+but the differences between points are correlated.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import numpy as np
 from hybridprec.channel import NLOS_GAIN_VAR, ChannelRealization
 # re-exported: perfbench/tracer.py wraps the name at this path
 from hybridprec.channel import sample_path_params  # noqa: F401
-from hybridprec.decomp import RankDeficiencyError, _gmd_rotations, geometric_mean_sigma, gmd
+from hybridprec.decomp import RankDeficiencyError, gmd, gmd_from_svd
 from hybridprec.dnn import Mlp, infer_precoders
 from hybridprec.precoder import FactorizeConfig, HybridFactors, SystemDims, factorize_sgd_batch, power_normalize
 
@@ -47,6 +55,16 @@ def validate_scheme(scheme: str) -> str:
     if scheme not in SCHEME_IDS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEME_IDS}")
     return scheme
+
+
+def validate_schemes(schemes) -> tuple[str, ...]:
+    """A non-empty sequence of scheme ids, as a tuple; a bare string is rejected."""
+    if isinstance(schemes, str):
+        raise ValueError(f"schemes must be a sequence of scheme ids, got the string {schemes!r}")
+    schemes = tuple(validate_scheme(s) for s in schemes)
+    if not schemes:
+        raise ValueError("at least one scheme is required")
+    return schemes
 
 
 @dataclass(frozen=True)
@@ -187,16 +205,14 @@ def _complex_normal(radius_words: np.ndarray, phase_words: np.ndarray) -> np.nda
     return np.sqrt(-np.log(1.0 - _uniform(radius_words))) * np.exp(2j * np.pi * _uniform(phase_words))
 
 
-def _draw_trials(dims: SystemDims, seed: int, point: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """Random draws of trials lo..hi-1 of one grid point, with fixed consumption.
+def _trial_words(dims: SystemDims, seed: int, point: int, lo: int, hi: int) -> list[np.ndarray]:
+    """Raw 64-bit words of trials lo..hi-1 of one grid point, split by field.
 
     Trial t reads its own block of Philox counters, at offset t times the
     block size, under a key derived from (seed, point). The block holds per
     path a gain (two words, Box-Muller), an AoD and an AoA; one word per
     payload bit; two words per receive antenna for the noise; and one
-    factorization seed. Returns (gains (b, P), aod (b, P), aoa (b, P), bits
-    (b, 2 ns), noise (b, nr), factor_seeds (b,)) with P = p_nlos + 1 paths,
-    LoS first; angles are uniform on [-pi/2, pi/2).
+    factorization seed. Returns those eight (b, width) fields in that order.
     """
     n_paths = dims.p_nlos + 1
     widths = (n_paths, n_paths, n_paths, n_paths, 2 * dims.ns, dims.nr, dims.nr, 1)
@@ -204,18 +220,42 @@ def _draw_trials(dims: SystemDims, seed: int, point: int, lo: int, hi: int) -> t
     key = np.random.SeedSequence(seed, spawn_key=(point,)).generate_state(2, np.uint64)
     words = np.random.Philox(key=key, counter=lo * blocks).random_raw((hi - lo) * 4 * blocks)
     words = words.reshape(hi - lo, 4 * blocks)[:, : sum(widths)]
-    gain_r, gain_phase, aod, aoa, bits, noise_r, noise_phase, factor_seeds = np.split(
-        words, np.cumsum(widths)[:-1], axis=1
+    return np.split(words, np.cumsum(widths)[:-1], axis=1)
+
+
+def _payload(bits: np.ndarray, noise_r: np.ndarray, noise_phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QPSK bits (top bit of each word) and unit complex noise from their words."""
+    return (bits >> np.uint64(63)).astype(np.int64), _complex_normal(noise_r, noise_phase)
+
+
+def _draw_trials(dims: SystemDims, seed: int, point: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Random draws of trials lo..hi-1 of one grid point, with fixed consumption.
+
+    Decodes the blocks of :func:`_trial_words`. Returns (gains (b, P), aod
+    (b, P), aoa (b, P), bits (b, 2 ns), noise (b, nr), factor_seeds (b,))
+    with P = p_nlos + 1 paths, LoS first; angles are uniform on
+    [-pi/2, pi/2).
+    """
+    gain_r, gain_phase, aod, aoa, bits, noise_r, noise_phase, factor_seeds = _trial_words(
+        dims, seed, point, lo, hi
     )
     gain_std = np.sqrt(np.r_[1.0, np.full(dims.p_nlos, NLOS_GAIN_VAR)])
     return (
         _complex_normal(gain_r, gain_phase) * gain_std,
         np.pi * (_uniform(aod) - 0.5),
         np.pi * (_uniform(aoa) - 0.5),
-        (bits >> np.uint64(63)).astype(np.int64),
-        _complex_normal(noise_r, noise_phase),
+        *_payload(bits, noise_r, noise_phase),
         factor_seeds[:, 0],
     )
+
+
+def _map_chunks(build, trials: int, threads: int) -> list:
+    """``build(lo)`` for each fixed ``_SETUP_CHUNK`` chunk start, on ``threads`` workers."""
+    starts = list(range(0, trials, _SETUP_CHUNK))
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(build, starts))
+    return [build(lo) for lo in starts]
 
 
 def draw_ensemble(
@@ -243,21 +283,32 @@ def draw_ensemble(
         u, s, vh = np.linalg.svd(h, full_matrices=False)
         if np.any(s[:, dims.ns - 1] <= 1e-12 * s[:, 0]):
             raise RankDeficiencyError(f"rank-deficient channel draw at point {point}")
-        gl, q1, gr = _gmd_rotations(s[:, : dims.ns], geometric_mean_sigma(s, dims.ns))
         v = np.conj(np.swapaxes(vh, 1, 2))
-        w1 = u[:, :, : dims.ns] @ gl
-        r1 = v[:, :, : dims.ns] @ gr
-        return PointEnsemble(h, u, s, v, w1, q1.astype(complex), r1, bits, noise, factor_seeds)
+        w1, q1, r1, _ = gmd_from_svd(u, s, v, dims.ns)
+        return PointEnsemble(h, u, s, v, w1, q1, r1, bits, noise, factor_seeds)
 
-    starts = list(range(0, trials, _SETUP_CHUNK))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(build_chunk, starts))
-    else:
-        parts = [build_chunk(lo) for lo in starts]
+    parts = _map_chunks(build_chunk, trials, threads)
     if len(parts) == 1:
         return parts[0]
     return PointEnsemble(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(PointEnsemble)))
+
+
+def draw_payload(
+    dims: SystemDims, trials: int, seed: int, point: int, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bits (trials, 2 ns) and unit noise (trials, nr) of one grid point.
+
+    Reads the same counter blocks as :func:`draw_ensemble` but decodes only
+    the payload fields, so the arrays equal ``draw_ensemble(dims, trials,
+    seed, point).bits`` and ``.noise`` bit for bit, at any thread count.
+    """
+
+    def build_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        words = _trial_words(dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials))
+        return _payload(*words[4:7])
+
+    bits, noise = zip(*_map_chunks(build_chunk, trials, threads))
+    return np.concatenate(bits), np.concatenate(noise)
 
 
 def build_scheme_factors(
@@ -307,7 +358,7 @@ def wilson_halfwidth(errors: int, n: int, z: float = 1.96) -> float:
 
 
 def ber_curve(
-    scheme: str,
+    schemes,
     snr_grid_db,
     trials: int,
     dims: SystemDims,
@@ -315,46 +366,53 @@ def ber_curve(
     cfg: FactorizeConfig | None = None,
     net: Mlp | None = None,
     threads: int = 1,
-) -> BerCurve:
-    """Monte-Carlo BER versus SNR for one scheme.
+) -> list[BerCurve]:
+    """Monte-Carlo BER versus SNR, one curve per scheme of ``schemes``, in order.
 
-    Each point draws ``trials`` independent channels (one QPSK symbol vector
-    each), builds the scheme's precoder/combiner, transmits through the true
+    One ensemble of ``trials`` channels (one QPSK symbol vector each) is
+    drawn from the (seed, 0) blocks, and each scheme's precoder/combiner is
+    built on it once. At SNR point p the bits and unit noise come from the
+    (seed, p) blocks; every scheme transmits that payload through the true
     channel and detects by SIC on the upper triangle of the effective
-    matrix. Identical seeds give identical channels, bits and unit noise for
-    every scheme, so curves are paired. Each trial reads its own block of
-    Philox counters, so the first ``trials`` draws of a longer run coincide
-    with a shorter run at the same seed, bit for bit.
+    matrix. Schemes and points are thus paired (common random numbers):
+    each point's Wilson interval is valid on its own, but differences
+    between points are correlated. Each trial reads its own block of Philox
+    counters, so the first ``trials`` draws of a longer run coincide with a
+    shorter run at the same seed, bit for bit.
     """
-    validate_scheme(scheme)
+    schemes = validate_schemes(schemes)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    bits_per_trial = 2 * dims.ns
-    bers, cis, errs = [], [], []
-    for point, snr_db in enumerate(snr_grid_db):
-        ensemble = draw_ensemble(dims, trials, seed, point, threads)
+    ensemble = draw_ensemble(dims, trials, seed, 0, threads)
+    links = []
+    for scheme in schemes:
         precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
-        noise = noise_sigma_for_snr(float(snr_db), dims.ns) * ensemble.noise
-        s = qpsk_map(ensemble.bits)
         comb_h = np.conj(np.swapaxes(combiners, 1, 2))
         q_true = comb_h @ ensemble.h @ precoders
-        y = (q_true @ s[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
-        s_hat = sic_detect(np.triu(q_true), y)
-        bit_errors = int(np.sum(qpsk_demap(s_hat) != ensemble.bits))
-        n_bits = trials * bits_per_trial
-        bers.append(bit_errors / n_bits)
-        cis.append(wilson_halfwidth(bit_errors, n_bits))
-        errs.append(bit_errors)
-    return BerCurve(
-        scheme=scheme,
-        snr_db=snr_grid_db,
-        ber=np.asarray(bers),
-        ci_halfwidth=np.asarray(cis),
-        trials=trials,
-        bits_per_trial=bits_per_trial,
-        errors=np.asarray(errs),
-    )
+        links.append((comb_h, q_true, np.triu(q_true)))
+    errors = np.zeros((len(schemes), snr_grid_db.size), dtype=np.int64)
+    for point, snr_db in enumerate(snr_grid_db):
+        bits, unit_noise = draw_payload(dims, trials, seed, point, threads)
+        noise = noise_sigma_for_snr(float(snr_db), dims.ns) * unit_noise
+        s = qpsk_map(bits)
+        for i, (comb_h, q_true, q_upper) in enumerate(links):
+            y = (q_true @ s[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
+            errors[i, point] = np.sum(qpsk_demap(sic_detect(q_upper, y)) != bits)
+    bits_per_trial = 2 * dims.ns
+    n_bits = trials * bits_per_trial
+    return [
+        BerCurve(
+            scheme=scheme,
+            snr_db=snr_grid_db,
+            ber=errs / n_bits,
+            ci_halfwidth=np.array([wilson_halfwidth(int(e), n_bits) for e in errs]),
+            trials=trials,
+            bits_per_trial=bits_per_trial,
+            errors=errs,
+        )
+        for scheme, errs in zip(schemes, errors)
+    ]
 
 
 def spectral_efficiency(
@@ -389,7 +447,7 @@ def spectral_efficiency(
 
 
 def se_curve(
-    scheme: str,
+    schemes,
     snr_grid_db,
     n_channels: int,
     dims: SystemDims,
@@ -397,23 +455,27 @@ def se_curve(
     cfg: FactorizeConfig | None = None,
     net: Mlp | None = None,
     threads: int = 1,
-) -> SeCurve:
-    """Spectral efficiency versus SNR, averaged over a fixed channel ensemble.
+) -> list[SeCurve]:
+    """Spectral efficiency versus SNR, one curve per scheme of ``schemes``, in order.
 
-    The ensemble depends only on (seed, n_channels), so different schemes
-    evaluated at the same seed see identical channels.
+    One ensemble of ``n_channels`` channels is drawn from the (seed, 0)
+    blocks, and each scheme's precoder/combiner is built on it once, so all
+    schemes and SNR points see identical channels.
     """
-    validate_scheme(scheme)
+    schemes = validate_schemes(schemes)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     ensemble = draw_ensemble(dims, n_channels, seed, 0, threads)
-    precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
-    means = [
-        float(np.mean(spectral_efficiency(ensemble.h, precoders, combiners, float(snr))))
-        for snr in snr_grid_db
-    ]
-    return SeCurve(
-        scheme=scheme, snr_db=snr_grid_db, bits_per_s_hz=np.asarray(means), channels=n_channels
-    )
+    curves = []
+    for scheme in schemes:
+        precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
+        means = [
+            float(np.mean(spectral_efficiency(ensemble.h, precoders, combiners, float(snr))))
+            for snr in snr_grid_db
+        ]
+        curves.append(
+            SeCurve(scheme=scheme, snr_db=snr_grid_db, bits_per_s_hz=np.asarray(means), channels=n_channels)
+        )
+    return curves
 
 
 def mse_vs_iterations(
@@ -432,7 +494,7 @@ def mse_vs_iterations(
     """
     if method not in MSE_METHODS:
         raise ValueError(f"method must be one of {MSE_METHODS}, got {method!r}")
-    targets = np.stack([gmd(ch.matrix, dims.ns).r1 for ch in channels])
+    targets = gmd(np.stack([ch.matrix for ch in channels]), dims.ns).r1
     _, trace, _ = factorize_sgd_batch(
         targets,
         dims.nt_rf,

@@ -269,12 +269,12 @@ def test_criterion_6_ber_sanity_suite():
         net, data, FactorizeConfig(learning_rate=0.003, max_iters=1500, tolerance=0.0, batch=20, seed=3)
     )
 
-    gmd_curve = ber_curve("fully_digital_gmd", grid, trials, DIMS, seed=42)
-    svd_anchor = ber_curve("fully_digital_svd", [-20.0], trials, DIMS, seed=42)
-    proj_curve = ber_curve("phase_projection", [-20.0, 10.0], trials, DIMS, seed=42)
-    sgd_anchor = ber_curve("sgd_hybrid", [-20.0], trials, DIMS, seed=42, cfg=cheap)
-    dnn_anchor = ber_curve("dnn_hybrid", [-20.0], trials, DIMS, seed=42, net=net)
-    sgd_10 = ber_curve("sgd_hybrid", [-20.0, 10.0], trials, DIMS, seed=42, cfg=strong)
+    gmd_curve = ber_curve(["fully_digital_gmd"], grid, trials, DIMS, seed=42)[0]
+    svd_anchor = ber_curve(["fully_digital_svd"], [-20.0], trials, DIMS, seed=42)[0]
+    proj_curve = ber_curve(["phase_projection"], [-20.0, 10.0], trials, DIMS, seed=42)[0]
+    sgd_anchor = ber_curve(["sgd_hybrid"], [-20.0], trials, DIMS, seed=42, cfg=cheap)[0]
+    dnn_anchor = ber_curve(["dnn_hybrid"], [-20.0], trials, DIMS, seed=42, net=net)[0]
+    sgd_10 = ber_curve(["sgd_hybrid"], [-20.0, 10.0], trials, DIMS, seed=42, cfg=strong)[0]
 
     anchors = {
         "fully_digital_gmd": (gmd_curve.ber[0], gmd_curve.ci_halfwidth[0]),
@@ -315,9 +315,9 @@ def test_criterion_7_spectral_efficiency_ordering():
     """SVD bound on top, sgd above phase projection, all non-decreasing in SNR."""
     grid = [0.0, 5.0, 10.0, 15.0]
     cfg = FactorizeConfig(learning_rate=0.02, max_iters=800, tolerance=0.0, seed=0)
-    svd_c = se_curve("fully_digital_svd", grid, 100, DIMS, seed=7)
-    sgd_c = se_curve("sgd_hybrid", grid, 100, DIMS, seed=7, cfg=cfg)
-    proj_c = se_curve("phase_projection", grid, 100, DIMS, seed=7)
+    svd_c = se_curve(["fully_digital_svd"], grid, 100, DIMS, seed=7)[0]
+    sgd_c = se_curve(["sgd_hybrid"], grid, 100, DIMS, seed=7, cfg=cfg)[0]
+    proj_c = se_curve(["phase_projection"], grid, 100, DIMS, seed=7)[0]
     order_ok = bool(
         np.all(svd_c.bits_per_s_hz >= sgd_c.bits_per_s_hz)
         and np.all(sgd_c.bits_per_s_hz >= proj_c.bits_per_s_hz)

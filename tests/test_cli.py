@@ -13,6 +13,8 @@ from hybridprec.cli import (
     run_experiment,
     validate_config,
 )
+from hybridprec.dnn import build_precoder_mlp, save_mlp
+from hybridprec.precoder import SystemDims
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -185,6 +187,40 @@ class TestRunExperiment:
 
         net = load_mlp(str(tmp_path / "out" / "model.npz"))
         assert net.codec.nt == 8
+
+
+class TestModelCheck:
+    """A loaded model.npz must fit the config's codec (nt, nt_rf, ns) and input width."""
+
+    def write_model_config(self, tmp_path, model_dims):
+        save_mlp(build_precoder_mlp(model_dims, seed=0), str(tmp_path / "model.npz"))
+        text = BER_CFG.replace(
+            "schemes = fully_digital_gmd, phase_projection", "schemes = dnn_hybrid\nmodel = model.npz"
+        )
+        return write_config(tmp_path, text)
+
+    def run_with_model(self, tmp_path, model_dims):
+        cfg = parse_config(self.write_model_config(tmp_path, model_dims), kind="ber")
+        run_experiment(cfg, tmp_path / "out", config_dir=tmp_path)
+
+    def test_model_for_other_nt_rejected(self, tmp_path):
+        # same input width (2 * 8 * 16 = 2 * 16 * 8) but an nt=8 codec
+        with pytest.raises(ConfigError, match=r"\(8, 2, 2, 256\).*\(16, 4, 2, 256\)"):
+            self.run_with_model(tmp_path, SystemDims(nt=8, nr=16, nt_rf=2, nr_rf=2, ns=2))
+
+    def test_model_for_other_nt_rf_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\(16, 2, 2, 256\).*\(16, 4, 2, 256\)"):
+            self.run_with_model(tmp_path, SystemDims(nt=16, nr=8, nt_rf=2, nr_rf=4, ns=2))
+
+    def test_matching_model_runs(self, tmp_path):
+        self.run_with_model(tmp_path, SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2))
+        assert len((tmp_path / "out" / "ber.csv").read_text().splitlines()) == 1 + 2
+
+    def test_mismatch_exits_nonzero_with_message(self, tmp_path, capsys):
+        path = self.write_model_config(tmp_path, SystemDims(nt=8, nr=4, nt_rf=2, nr_rf=2, ns=2))
+        rc = main(["ber", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "does not fit the config" in capsys.readouterr().err
 
 
 class TestPlotScript:

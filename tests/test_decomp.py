@@ -126,6 +126,27 @@ class TestGmd:
         np.testing.assert_allclose(f1.q1, f0.q1, atol=1e-8)
         assert f1.sigma_bar == pytest.approx(f0.sigma_bar, rel=1e-10)
 
+    def test_stack_equals_single_matrices_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        for nr, nt, ns in ((8, 16, 2), (5, 3, 3), (6, 6, 1)):
+            ms = random_complex(rng, (40, nr, nt))
+            batched = gmd(ms, ns)
+            assert batched.sigma_bar.shape == (40,)
+            for j, m in enumerate(ms):
+                single = gmd(m, ns)
+                for name in ("w1", "q1", "r1"):
+                    assert np.array_equal(getattr(batched, name)[j], getattr(single, name)), name
+                assert batched.sigma_bar[j] == single.sigma_bar
+            target = np.stack([rank_ns_truncation(m, ns) for m in ms])
+            assert np.linalg.norm(batched.reconstruct() - target) <= 1e-8 * np.linalg.norm(target)
+
+    def test_rank_deficient_member_of_stack_named(self):
+        rng = np.random.default_rng(11)
+        ms = random_complex(rng, (3, 4, 4))
+        ms[1] = np.outer(random_complex(rng, 4), random_complex(rng, 4))
+        with pytest.raises(RankDeficiencyError, match="matrix 1 of the stack"):
+            gmd(ms, 2)
+
     def test_ns_out_of_range(self):
         with pytest.raises(ValueError):
             gmd(np.eye(3), 4)

@@ -2,9 +2,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridprec import simulate
 from hybridprec.channel import PathParams, ChannelRealization, draw_channel
 from hybridprec.decomp import gmd
+from hybridprec.dnn import build_precoder_mlp
 from hybridprec.precoder import (
     FactorizeConfig,
     SystemDims,
@@ -13,10 +17,13 @@ from hybridprec.precoder import (
     hybrid_loss,
 )
 from hybridprec.simulate import (
+    SCHEME_IDS,
     PointEnsemble,
     _draw_trials,
     ber_curve,
+    build_scheme_factors,
     draw_ensemble,
+    draw_payload,
     iterations_to_plateau,
     mse_vs_iterations,
     noise_sigma_for_snr,
@@ -164,40 +171,166 @@ class TestDrawEnsemble:
 class TestBerCurve:
     def test_deep_noise_limit_is_coin_flip(self):
         # the random-guessing limit: noise overwhelming any received signal
-        c = ber_curve("fully_digital_gmd", [-60.0], 4000, DIMS, seed=11)
+        c = ber_curve(["fully_digital_gmd"], [-60.0], 4000, DIMS, seed=11)[0]
         assert abs(c.ber[0] - 0.5) <= c.ci_halfwidth[0]
 
     def test_monotone_in_snr_within_intervals(self):
-        c = ber_curve("fully_digital_gmd", [-10.0, -5.0, 0.0, 5.0], 4000, DIMS, seed=12)
+        c = ber_curve(["fully_digital_gmd"], [-10.0, -5.0, 0.0, 5.0], 4000, DIMS, seed=12)[0]
         for i in range(len(c.ber) - 1):
             assert c.ber[i + 1] <= c.ber[i] + c.ci_halfwidth[i] + c.ci_halfwidth[i + 1]
 
     def test_doubled_trials_consistent(self):
-        a = ber_curve("fully_digital_gmd", [0.0], 2000, DIMS, seed=13)
-        b = ber_curve("fully_digital_gmd", [0.0], 4000, DIMS, seed=13)
+        a = ber_curve(["fully_digital_gmd"], [0.0], 2000, DIMS, seed=13)[0]
+        b = ber_curve(["fully_digital_gmd"], [0.0], 4000, DIMS, seed=13)[0]
         assert abs(a.ber[0] - b.ber[0]) <= a.ci_halfwidth[0] + b.ci_halfwidth[0]
 
     def test_deterministic_under_seed(self):
-        a = ber_curve("phase_projection", [0.0, 5.0], 500, DIMS, seed=14)
-        b = ber_curve("phase_projection", [0.0, 5.0], 500, DIMS, seed=14)
+        a = ber_curve(["phase_projection"], [0.0, 5.0], 500, DIMS, seed=14)[0]
+        b = ber_curve(["phase_projection"], [0.0, 5.0], 500, DIMS, seed=14)[0]
         np.testing.assert_array_equal(a.ber, b.ber)
 
     def test_threads_do_not_change_results(self):
-        a = ber_curve("fully_digital_gmd", [0.0], 2500, DIMS, seed=15, threads=1)
-        b = ber_curve("fully_digital_gmd", [0.0], 2500, DIMS, seed=15, threads=4)
+        a = ber_curve(["fully_digital_gmd"], [0.0], 2500, DIMS, seed=15, threads=1)[0]
+        b = ber_curve(["fully_digital_gmd"], [0.0], 2500, DIMS, seed=15, threads=4)[0]
         np.testing.assert_array_equal(a.ber, b.ber)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            ber_curve("zero_forcing", [0.0], 10, DIMS, seed=0)
+            ber_curve(["zero_forcing"], [0.0], 10, DIMS, seed=0)
 
     def test_sgd_requires_config(self):
         with pytest.raises(ValueError):
-            ber_curve("sgd_hybrid", [0.0], 10, DIMS, seed=0)
+            ber_curve(["sgd_hybrid"], [0.0], 10, DIMS, seed=0)
 
     def test_dnn_requires_network(self):
         with pytest.raises(ValueError):
-            ber_curve("dnn_hybrid", [0.0], 10, DIMS, seed=0)
+            ber_curve(["dnn_hybrid"], [0.0], 10, DIMS, seed=0)
+
+
+CHEAP = FactorizeConfig(learning_rate=0.02, max_iters=30, tolerance=0.0, seed=0)
+
+
+class TestSharedEnsemble:
+    """One ensemble per curve: channels and factors from point 0, payload per point."""
+
+    NET = build_precoder_mlp(DIMS, seed=0)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_multi_scheme_equals_one_scheme_calls(self, threads):
+        # 1100 trials span two 1024-trial chunks
+        grid = [-5.0, 0.0, 5.0]
+        kwargs = dict(cfg=CHEAP, net=self.NET)
+        singles = {s: ber_curve([s], grid, 1100, DIMS, seed=31, **kwargs)[0] for s in SCHEME_IDS}
+        for order in (SCHEME_IDS, SCHEME_IDS[::-1], ("phase_projection", "sgd_hybrid")):
+            curves = ber_curve(order, grid, 1100, DIMS, seed=31, threads=threads, **kwargs)
+            assert [c.scheme for c in curves] == list(order)
+            for c in curves:
+                ref = singles[c.scheme]
+                assert np.array_equal(c.errors, ref.errors), c.scheme
+                assert np.array_equal(c.ber, ref.ber), c.scheme
+                assert np.array_equal(c.ci_halfwidth, ref.ci_halfwidth), c.scheme
+
+    @pytest.mark.parametrize("point", [0, 1, 5])
+    def test_payload_equals_point_draw(self, point):
+        ens = draw_ensemble(DIMS, 1500, seed=32, point=point)
+        for threads in (1, 4):
+            bits, noise = draw_payload(DIMS, 1500, seed=32, point=point, threads=threads)
+            assert np.array_equal(bits, ens.bits)
+            assert np.array_equal(noise, ens.noise)
+
+    def test_points_use_point_zero_channels_and_their_own_payload(self):
+        grid = [0.0, 3.0, 6.0]
+        curve = ber_curve(["fully_digital_gmd"], grid, 800, DIMS, seed=33)[0]
+        channels = draw_ensemble(DIMS, 800, seed=33, point=0)
+        comb_h = np.conj(np.swapaxes(channels.w1, 1, 2))
+        q = comb_h @ channels.h @ channels.r1
+        for point, snr in enumerate(grid):
+            payload = draw_ensemble(DIMS, 800, seed=33, point=point)
+            noise = noise_sigma_for_snr(snr, DIMS.ns) * payload.noise
+            y = (q @ qpsk_map(payload.bits)[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
+            errors = np.sum(qpsk_demap(sic_detect(np.triu(q), y)) != payload.bits)
+            assert curve.errors[point] == errors
+
+    def test_one_draw_and_one_factorization_per_sgd_scheme(self, monkeypatch):
+        calls = {"draw_ensemble": 0, "factorize_sgd_batch": 0}
+
+        def counting(name):
+            real = getattr(simulate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulate, name, counting(name))
+        schemes = ("sgd_hybrid", "fully_digital_gmd", "sgd_hybrid", "phase_projection")
+        curves = ber_curve(schemes, [-5.0, 0.0, 5.0, 10.0], 300, DIMS, seed=34, cfg=CHEAP)
+        assert len(curves) == 4
+        assert calls == {"draw_ensemble": 1, "factorize_sgd_batch": 2}
+        se_curve(schemes, [0.0, 10.0], 50, DIMS, seed=34, cfg=CHEAP)
+        assert calls == {"draw_ensemble": 2, "factorize_sgd_batch": 4}
+
+    def test_multi_scheme_se_equals_one_scheme_calls(self):
+        grid = [0.0, 10.0]
+        kwargs = dict(cfg=CHEAP, net=self.NET)
+        curves = se_curve(SCHEME_IDS[::-1], grid, 60, DIMS, seed=35, **kwargs)
+        for c in curves:
+            ref = se_curve([c.scheme], grid, 60, DIMS, seed=35, **kwargs)[0]
+            assert np.array_equal(c.bits_per_s_hz, ref.bits_per_s_hz), c.scheme
+
+    def test_bare_string_rejected(self):
+        with pytest.raises(ValueError, match="sequence"):
+            ber_curve("fully_digital_gmd", [0.0], 10, DIMS, seed=0)
+
+
+@st.composite
+def system_dims(draw):
+    ns = draw(st.integers(1, 3))
+    nt = draw(st.integers(ns, 12))
+    nr = draw(st.integers(ns, 6))
+    return SystemDims(
+        nt=nt,
+        nr=nr,
+        nt_rf=draw(st.integers(ns, nt)),
+        nr_rf=draw(st.integers(ns, nr)),
+        ns=ns,
+        p_nlos=draw(st.integers(ns - 1, 4)),
+    )
+
+
+class TestSchemeConstraints:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(system_dims())
+    def test_power_budget_and_constant_modulus(self, dims):
+        # record the analog factors that build_scheme_factors forms, at the
+        # names it looks them up by
+        analogs = []
+
+        def recording(real, factors_of):
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                analogs.extend(np.ravel(f.analog) for f in factors_of(result))
+                return result
+
+            return wrapper
+
+        ens = draw_ensemble(dims, 8, seed=36, point=0)
+        net = build_precoder_mlp(dims, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "factorize_sgd_batch", recording(simulate.factorize_sgd_batch, lambda r: r[0]))
+            mp.setattr(simulate, "infer_precoders", recording(simulate.infer_precoders, lambda r: [r]))
+            mp.setattr(simulate, "power_normalize", recording(simulate.power_normalize, lambda r: [r]))
+            for scheme in SCHEME_IDS:
+                analogs.clear()
+                precoders, _ = build_scheme_factors(scheme, ens, dims, cfg=CHEAP, net=net)
+                assert precoders.shape == (8, dims.nt, dims.ns)
+                assert np.all(np.sum(np.abs(precoders) ** 2, axis=(1, 2)) <= dims.ns + 1e-9), scheme
+                if scheme in ("sgd_hybrid", "phase_projection", "dnn_hybrid"):
+                    analog = np.concatenate(analogs)
+                    assert analog.size >= 8 * dims.nt * dims.ns, scheme  # phase projection has ns columns
+                    assert np.max(np.abs(np.abs(analog) - 1.0 / np.sqrt(dims.nt))) <= 1e-12, scheme
 
 
 class TestNoiselessLoopback:
@@ -254,9 +387,9 @@ class TestSpectralEfficiency:
 
     def test_unconstrained_svd_dominates_hybrids(self):
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=600, tolerance=0.0, seed=0)
-        svd_c = se_curve("fully_digital_svd", [0.0, 10.0], 40, DIMS, seed=18)
+        svd_c = se_curve(["fully_digital_svd"], [0.0, 10.0], 40, DIMS, seed=18)[0]
         for scheme in ("sgd_hybrid", "phase_projection"):
-            hyb = se_curve(scheme, [0.0, 10.0], 40, DIMS, seed=18, cfg=cfg)
+            hyb = se_curve([scheme], [0.0, 10.0], 40, DIMS, seed=18, cfg=cfg)[0]
             assert np.all(svd_c.bits_per_s_hz >= hyb.bits_per_s_hz - 1e-9)
 
 
