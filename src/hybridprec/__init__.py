@@ -28,6 +28,7 @@ from hybridprec.dnn import (
     train,
 )
 from hybridprec.precoder import (
+    FactorizationDivergedError,
     FactorizeConfig,
     FactorizeResult,
     HybridFactors,

@@ -226,6 +226,9 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
                 raise ConfigError(
                     f"mse schemes must be among {MSE_METHODS}, got {s!r}"
                 )
+    if cfg.kind == "train" and cfg.max_iters < 1:
+        # zero steps give an empty history: no loss to report, no trained model
+        raise ConfigError(f"{at('max_iters')}train requires max_iters >= 1, got {cfg.max_iters}")
     if cfg.kind == "complexity-bench":
         if len(cfg.nt_sweep) < 2:
             raise ConfigError("complexity-bench requires at least two nt_sweep values")
@@ -306,6 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stages: dict = {}
+    extra: dict = {}
     outputs: list[Path] = []
     threads = _resolve_threads(cfg.threads)
     try:
@@ -362,14 +366,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
                     f"gmd-check failed: max_diag_dev={max_diag:.3e}, max_recon_err={max_recon:.3e}"
                 )
         elif cfg.kind == "train":
-            outputs.extend(_run_train(cfg, out_dir))
+            paths, extra["training"] = _run_train(cfg, out_dir, stages)
+            outputs.extend(paths)
         else:  # complexity-bench
             outputs.append(_run_complexity_bench(cfg, out_dir))
-        stages["compute"] = time.perf_counter() - t0 - stages.get("train", 0.0)
+        stages["compute"] = time.perf_counter() - t0 - sum(stages.values())
         manifest = {
             "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
             "code_version": hybridprec.__version__,
             "stages_seconds": {k: round(v, 6) for k, v in stages.items()},
+            **extra,
             "outputs": [p.name for p in outputs],
         }
         manifest_path = out_dir / "manifest.json"
@@ -426,17 +432,29 @@ def _run_gmd_check(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, float, f
     return csv_path, max_diag, max_recon
 
 
-def _run_train(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def _run_train(cfg: ExperimentConfig, out_dir: Path, stages: dict) -> tuple[list[Path], dict]:
+    """Build the dataset, train, save; returns the outputs and the manifest's training block."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     data = build_dataset(cfg.dims(), cfg.train_size, rng)
+    t1 = time.perf_counter()
     net = build_precoder_mlp(cfg.dims(), seed=cfg.seed, noise_sigma=cfg.noise_sigma)
     net, history = train(net, data, cfg.factorize_config())
+    t2 = time.perf_counter()
     model_path = out_dir / "model.npz"
     save_mlp(net, str(model_path))
     csv_path = out_dir / "train_history.csv"
     _write_csv(csv_path, ["epoch", "loss"], [[i, v] for i, v in enumerate(history, start=1)])
+    stages.update(dataset=t1 - t0, train=t2 - t1, save=time.perf_counter() - t2)
+    # train stops only at an epoch's end or at max_iters
+    steps_per_epoch = -(-len(data.train_samples) // cfg.batch_size)
+    training = {
+        "epochs": len(history),
+        "steps": min(cfg.max_iters, len(history) * steps_per_epoch),
+        "final_loss": float(history[-1]),
+    }
     print(f"final_train_loss={history[-1]:.6f} epochs={len(history)}")
-    return [model_path, csv_path]
+    return [model_path, csv_path], training
 
 
 def _run_complexity_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:

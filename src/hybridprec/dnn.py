@@ -21,7 +21,7 @@ from hybridprec.precoder import (
     HybridFactors,
     SystemDims,
     _windowed_stop,
-    factorization_gradient,
+    factorization_gradient_batch,
     power_normalize,
 )
 
@@ -277,10 +277,17 @@ def sgd_momentum_step(
     alpha: float,
     epsilon: float,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Momentum update on every parameter array: v <- alpha*v - epsilon*g; p <- p + v."""
-    new_velocities = [alpha * v - epsilon * g for v, g in zip(velocities, grads)]
-    new_params = [p + v for p, v in zip(params, new_velocities)]
-    return new_params, new_velocities
+    """Momentum update on every parameter array: v <- alpha*v - epsilon*g; p <- p + v.
+
+    The parameter and velocity arrays are updated in place, bit for bit equal
+    to the allocating form; the gradient arrays are left untouched. Returns
+    the same two lists, ``(params, velocities)``.
+    """
+    for p, g, v in zip(params, grads, velocities):
+        v *= alpha
+        v -= epsilon * g
+        p += v
+    return params, velocities
 
 
 def feature_vector(h: ChannelRealization | np.ndarray) -> np.ndarray:
@@ -352,20 +359,24 @@ def build_dataset(
 
 
 def _batch_loss_and_grad(
-    net: Mlp, batch: list[Sample], mode: str, rng: np.random.Generator | None
+    net: Mlp, feats: np.ndarray, targets: np.ndarray, mode: str, rng: np.random.Generator | None
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean root loss over the batch plus parameter gradients of the mean squared loss."""
+    """Mean root loss over a stacked batch plus parameter gradients of the mean squared loss.
+
+    ``mode="infer"`` evaluates the loss only: it runs neither the gradient
+    kernel nor ``backward``, and the gradient lists come back empty.
+    """
     codec = net.codec
-    b = len(batch)
-    feats = np.stack([s.features for s in batch])
-    targets = np.stack([s.target for s in batch])
+    b = len(feats)
     out, cache = forward(net, feats, mode=mode, rng=rng)
     phases, digital = codec.decode(out)
-    phase_scale = 2.0 * np.pi / codec.ns
     analog = np.exp(1j * phases) / np.sqrt(codec.nt)
     err = targets - analog @ digital
-    g_digital = -2.0 * (np.conj(np.swapaxes(analog, 1, 2)) @ err)
-    g_phases = 2.0 * np.imag(np.conj(err @ np.conj(np.swapaxes(digital, 1, 2))) * analog)
+    loss = float(np.mean(np.linalg.norm(err, axis=(1, 2))))
+    if mode == "infer":
+        return loss, [], []
+    g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
+    phase_scale = 2.0 * np.pi / codec.ns
     grad_out = np.concatenate(
         [
             g_phases.reshape(b, -1) * phase_scale,
@@ -374,49 +385,48 @@ def _batch_loss_and_grad(
         ],
         axis=1,
     ) / b
-    root_losses = np.linalg.norm(err, axis=(1, 2))
     d_weights, d_biases = backward(net, cache, grad_out)
-    return float(np.mean(root_losses)), d_weights, d_biases
+    return loss, d_weights, d_biases
 
 
 def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarray]:
     """Momentum-SGD training against the factorization loss on the train split.
 
     Samples are shuffled into batches of ``cfg.batch`` each epoch; ``cfg.max_iters``
-    caps the total number of SGD steps. The history holds one entry per epoch:
-    the mean root loss over the train split, evaluated noise-free, so a zero
+    caps the total number of SGD steps, each of which updates ``net`` in place.
+    The history holds one entry per epoch: the mean root loss over the train
+    split, evaluated noise-free and loss-only (no backward pass), so a zero
     learning rate yields a constant history. Stops early when the windowed
     epoch-loss improvement falls below ``cfg.tolerance``.
     """
     if net.codec is None:
         raise ValueError("training requires a network built with a precoder codec")
-    train_split = list(data.train_samples)
+    train_split = data.train_samples
     if not train_split:
         raise ValueError("dataset has no training samples")
+    feats = np.stack([s.features for s in train_split])
+    targets = np.stack([s.target for s in train_split])
     rng = np.random.default_rng(cfg.seed)
     history = []
     steps = 0
     epoch = 0
     while steps < cfg.max_iters:
         epoch += 1
-        order = rng.permutation(len(train_split))
+        order = rng.permutation(len(feats))
         for start in range(0, len(order), cfg.batch):
             if steps >= cfg.max_iters:
                 break
-            batch = [train_split[j] for j in order[start : start + cfg.batch]]
-            _, d_weights, d_biases = _batch_loss_and_grad(net, batch, mode="train", rng=rng)
-            params, velocities = sgd_momentum_step(
+            idx = order[start : start + cfg.batch]
+            _, d_weights, d_biases = _batch_loss_and_grad(net, feats[idx], targets[idx], mode="train", rng=rng)
+            sgd_momentum_step(
                 net.weights + net.biases,
                 d_weights + d_biases,
                 net.w_velocities + net.b_velocities,
                 alpha=cfg.momentum,
                 epsilon=cfg.learning_rate,
             )
-            n_w = len(net.weights)
-            net.weights, net.biases = params[:n_w], params[n_w:]
-            net.w_velocities, net.b_velocities = velocities[:n_w], velocities[n_w:]
             steps += 1
-        eval_loss, _, _ = _batch_loss_and_grad(net, train_split, mode="infer", rng=None)
+        eval_loss, _, _ = _batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)
         history.append(eval_loss)
         if _windowed_stop(history, epoch, cfg.tolerance):
             break

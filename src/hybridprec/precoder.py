@@ -90,6 +90,10 @@ class FactorizeConfig:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
+class FactorizationDivergedError(ValueError):
+    """Momentum SGD ended above its starting loss, or at a non-finite one."""
+
+
 # momentum makes single iterations jitter, so convergence is judged between
 # consecutive windows of this many iterations rather than between iterations
 STOP_WINDOW = 50
@@ -224,9 +228,21 @@ def factorization_gradient(
     so a complex update digital += v applies both real gradients at once.
     """
     analog = analog_from_phases(phases)
-    err = r1 - analog @ digital
-    g_digital = -2.0 * (analog.conj().T @ err)
-    g_phases = 2.0 * np.imag(np.conj(err @ digital.conj().T) * analog)
+    return factorization_gradient_batch(analog, digital, r1 - analog @ digital)
+
+
+def factorization_gradient_batch(
+    analog: np.ndarray, digital: np.ndarray, err: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g_phases, g_digital) of ||R1 - R_A R_D||_F^2 from the residual err = R1 - R_A R_D.
+
+    Every argument may carry leading batch dimensions, one instance each:
+    analog (..., nt, nt_rf), digital (..., nt_rf, ns), err (..., nt, ns).
+    This is the one implementation behind :func:`factorization_gradient`,
+    :func:`factorize_sgd_batch` and the DNN training gradient.
+    """
+    g_digital = -2.0 * (np.conj(np.swapaxes(analog, -1, -2)) @ err)
+    g_phases = 2.0 * np.imag(np.conj(err @ np.conj(np.swapaxes(digital, -1, -2))) * analog)
     return g_phases, g_digital
 
 
@@ -302,6 +318,10 @@ def factorize_sgd_batch(
     ``seeds[i]`` seeds instance i (default: cfg.seed + i). Returns the
     power-normalized factors, the loss matrix (iterations+1 x b), and the
     final per-instance losses.
+
+    Raises :class:`FactorizationDivergedError` when any instance ends with a
+    non-finite loss or above its starting loss (a learning rate too large
+    for the target), so a diverged run never turns into a BER figure.
     """
     r1_stack = np.asarray(r1_stack, dtype=complex)
     b, nt, ns = r1_stack.shape
@@ -322,8 +342,7 @@ def factorize_sgd_batch(
     trace = [np.linalg.norm(err, axis=(1, 2))]
     mean_trace = [float(np.mean(trace[0]))]
     for it in range(1, cfg.max_iters + 1):
-        g_digital = -2.0 * (np.conj(np.swapaxes(analog, 1, 2)) @ err)
-        g_phases = 2.0 * np.imag(np.conj(err @ np.conj(np.swapaxes(digital, 1, 2))) * analog)
+        g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
         v_phases *= cfg.momentum
         v_phases -= cfg.learning_rate * g_phases
         phases += v_phases
@@ -337,6 +356,13 @@ def factorize_sgd_batch(
         mean_trace.append(float(np.mean(trace[-1])))
         if _windowed_stop(mean_trace, it, cfg.tolerance):
             break
+    final = trace[-1]
+    diverged = ~np.isfinite(final) | (final > trace[0])
+    if diverged.any():
+        raise FactorizationDivergedError(
+            f"factorization diverged in {int(diverged.sum())} of {b} instances: worst final loss "
+            f"{np.max(final[diverged]):.3e} (learning_rate = {cfg.learning_rate})"
+        )
     factors = [
         power_normalize(HybridFactors(analog=analog[i], digital=digital[i])) for i in range(b)
     ]

@@ -188,6 +188,66 @@ class TestRunExperiment:
         net = load_mlp(str(tmp_path / "out" / "model.npz"))
         assert net.codec.nt == 8
 
+    def test_train_manifest_records_stages_and_training(self, tmp_path, monkeypatch):
+        import json
+
+        import hybridprec.dnn as dnn_module
+
+        steps = []
+        step = dnn_module.sgd_momentum_step
+
+        def counted_step(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(dnn_module, "sgd_momentum_step", counted_step)
+        # one batch per epoch; tolerance 1 stops at the first window check, epoch 100
+        text = (
+            "nt = 8\nnr = 4\nnt_rf = 4\nnr_rf = 4\nns = 2\ntrain_size = 6\n"
+            "max_iters = 1000\nbatch_size = 6\nseed = 2\ntolerance = 1.0\n"
+        )
+        cfg = parse_config(write_config(tmp_path, text), kind="train")
+        run_experiment(cfg, tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert {"dataset", "train", "save", "compute"} <= set(manifest["stages_seconds"])
+        history = (tmp_path / "out" / "train_history.csv").read_text().splitlines()[1:]
+        assert manifest["training"] == {
+            "epochs": len(history),
+            "steps": len(steps),
+            "final_loss": float(history[-1].split(",")[1]),
+        }
+        assert manifest["training"]["steps"] == 100
+
+    def test_train_steps_capped_mid_epoch(self, tmp_path):
+        import json
+
+        # 3 batches per epoch; 10 steps end in the fourth epoch's first batch
+        text = (
+            "nt = 8\nnr = 4\nnt_rf = 4\nnr_rf = 4\nns = 2\ntrain_size = 6\n"
+            "max_iters = 10\nbatch_size = 2\nseed = 2\ntolerance = 0.0\n"
+        )
+        cfg = parse_config(write_config(tmp_path, text), kind="train")
+        run_experiment(cfg, tmp_path / "out")
+        training = json.loads((tmp_path / "out" / "manifest.json").read_text())["training"]
+        assert (training["epochs"], training["steps"]) == (4, 10)
+
+    def test_train_without_steps_rejected_with_line_number(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 2: train requires max_iters >= 1"):
+            parse_config(write_config(tmp_path, "seed = 1\nmax_iters = 0\n"), kind="train")
+
+    def test_diverging_factorization_exits_with_error(self, tmp_path, capsys):
+        text = (
+            BER_CFG.replace("schemes = fully_digital_gmd, phase_projection", "schemes = sgd_hybrid")
+            .replace("learning_rate = 0.02", "learning_rate = 5")
+            .replace("trials = 200", "trials = 20")
+        )
+        rc = main(["ber", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: factorization diverged in 20 of 20 instances")
+        assert "learning_rate = 5.0" in err
+        assert not (tmp_path / "out" / "ber.csv").exists()
+
 
 class TestModelCheck:
     """A loaded model.npz must fit the config's codec (nt, nt_rf, ns) and input width."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hybridprec.dnn as dnn_module
 from hybridprec.channel import draw_channel
 from hybridprec.dnn import (
     LayerSpec,
@@ -21,7 +22,7 @@ from hybridprec.dnn import (
     sgd_momentum_step,
     train,
 )
-from hybridprec.precoder import FactorizeConfig, SystemDims
+from hybridprec.precoder import FactorizeConfig, SystemDims, _windowed_stop
 
 
 class TestArchitecture:
@@ -179,7 +180,7 @@ class TestSgdMomentumStep:
         p = [np.array([1.0, 2.0])]
         g = [np.array([0.5, -1.0])]
         v = [np.zeros(2)]
-        new_p, new_v = sgd_momentum_step(p, g, v, alpha=0.9, epsilon=0.1)
+        new_p, new_v = sgd_momentum_step([p[0].copy()], g, [v[0].copy()], alpha=0.9, epsilon=0.1)
         np.testing.assert_allclose(new_p[0], p[0] - 0.1 * g[0])
 
     def test_zero_gradient_decays_velocity(self):
@@ -195,6 +196,23 @@ class TestSgdMomentumStep:
         p, v = sgd_momentum_step(p, g, v, alpha=0.9, epsilon=0.1)
         p, v = sgd_momentum_step(p, g, v, alpha=0.9, epsilon=0.1)
         np.testing.assert_allclose(v[0], -0.19 * g[0])
+
+    def test_updates_in_place_and_leaves_gradients_untouched(self):
+        rng = np.random.default_rng(0)
+        p = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        g = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        v = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        g_before = [a.copy() for a in g]
+        want_v = [0.9 * a - 0.1 * b for a, b in zip(v, g)]
+        want_p = [a + b for a, b in zip(p, want_v)]
+        arrays = p + v
+        new_p, new_v = sgd_momentum_step(p, g, v, alpha=0.9, epsilon=0.1)
+        assert new_p is p and new_v is v
+        assert all(a is b for a, b in zip(new_p + new_v, arrays))
+        for got, want in zip(new_p + new_v, want_p + want_v):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(g, g_before):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDataset:
@@ -263,6 +281,109 @@ class TestTrain:
         data = build_dataset(self.dims, 2, np.random.default_rng(9))
         with pytest.raises(ValueError):
             train(net, data, FactorizeConfig(max_iters=1))
+
+
+def reference_train(net, data, cfg):
+    """The training loop as first written: batches stacked from the samples at
+    every step, an allocating momentum update, and a per-epoch evaluation that
+    also ran the backward pass and discarded its gradients."""
+    codec = net.codec
+
+    def loss_and_grad(batch, mode, rng):
+        b = len(batch)
+        feats = np.stack([s.features for s in batch])
+        targets = np.stack([s.target for s in batch])
+        out, cache = forward(net, feats, mode=mode, rng=rng)
+        phases, digital = codec.decode(out)
+        analog = np.exp(1j * phases) / np.sqrt(codec.nt)
+        err = targets - analog @ digital
+        g_digital = -2.0 * (np.conj(np.swapaxes(analog, 1, 2)) @ err)
+        g_phases = 2.0 * np.imag(np.conj(err @ np.conj(np.swapaxes(digital, 1, 2))) * analog)
+        grad_out = np.concatenate(
+            [
+                g_phases.reshape(b, -1) * (2.0 * np.pi / codec.ns),
+                g_digital.real.reshape(b, -1),
+                g_digital.imag.reshape(b, -1),
+            ],
+            axis=1,
+        ) / b
+        d_weights, d_biases = backward(net, cache, grad_out)
+        return float(np.mean(np.linalg.norm(err, axis=(1, 2)))), d_weights, d_biases
+
+    train_split = list(data.train_samples)
+    rng = np.random.default_rng(cfg.seed)
+    history, steps, epoch = [], 0, 0
+    n_w = len(net.weights)
+    while steps < cfg.max_iters:
+        epoch += 1
+        order = rng.permutation(len(train_split))
+        for start in range(0, len(order), cfg.batch):
+            if steps >= cfg.max_iters:
+                break
+            batch = [train_split[j] for j in order[start : start + cfg.batch]]
+            _, d_weights, d_biases = loss_and_grad(batch, "train", rng)
+            velocities = [
+                cfg.momentum * v - cfg.learning_rate * g
+                for v, g in zip(net.w_velocities + net.b_velocities, d_weights + d_biases)
+            ]
+            params = [p + v for p, v in zip(net.weights + net.biases, velocities)]
+            net.weights, net.biases = params[:n_w], params[n_w:]
+            net.w_velocities, net.b_velocities = velocities[:n_w], velocities[n_w:]
+            steps += 1
+        eval_loss, _, _ = loss_and_grad(train_split, "infer", None)
+        history.append(eval_loss)
+        if _windowed_stop(history, epoch, cfg.tolerance):
+            break
+    return net, np.asarray(history)
+
+
+class TestTrainMatchesReference:
+    """train() equals the first-written loop bit for bit: history, weights, biases, velocities."""
+
+    dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
+
+    def assert_same_training(self, data, cfg, noise_sigma):
+        net, history = train(build_precoder_mlp(self.dims, seed=2, noise_sigma=noise_sigma), data, cfg)
+        ref, ref_history = reference_train(
+            build_precoder_mlp(self.dims, seed=2, noise_sigma=noise_sigma), data, cfg
+        )
+        np.testing.assert_array_equal(history, ref_history)
+        for name in ("weights", "biases", "w_velocities", "b_velocities"):
+            for got, want in zip(getattr(net, name), getattr(ref, name)):
+                np.testing.assert_array_equal(got, want)
+        return history
+
+    def test_early_stop_with_ragged_batches_and_test_split(self):
+        # 48 training samples in batches of 7: six full batches and one of 6
+        data = build_dataset(self.dims, 60, np.random.default_rng(21), test_fraction=0.2)
+        cfg = FactorizeConfig(learning_rate=0.1, max_iters=3000, tolerance=1e-2, batch=7, seed=4)
+        history = self.assert_same_training(data, cfg, noise_sigma=0.1)
+        assert len(history) < 3000 // 7  # the stop rule fired before the step cap
+
+    def test_noise_layer_without_early_stop(self):
+        data = build_dataset(self.dims, 30, np.random.default_rng(22))
+        cfg = FactorizeConfig(learning_rate=0.01, max_iters=50, tolerance=0.0, batch=4, seed=5)
+        history = self.assert_same_training(data, cfg, noise_sigma=0.3)
+        assert len(history) == 7  # 8 steps per epoch, the last epoch cut at step 50
+
+    def test_backward_only_in_sgd_steps(self, monkeypatch):
+        events = []
+        for name in ("forward", "backward", "sgd_momentum_step"):
+            original = getattr(dnn_module, name)
+
+            def record(*args, _name=name, _original=original, **kwargs):
+                events.append((_name, kwargs.get("mode")))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dnn_module, name, record)
+        data = build_dataset(self.dims, 10, np.random.default_rng(23))
+        cfg = FactorizeConfig(learning_rate=0.01, max_iters=9, tolerance=0.0, batch=4, seed=6)
+        _, history = train(build_precoder_mlp(self.dims, seed=2), data, cfg)
+        step = [("forward", "train"), ("backward", None), ("sgd_momentum_step", None)]
+        evaluation = [("forward", "infer")]
+        # 3 steps per epoch (4, 4, 2 samples); 9 steps = 3 epochs
+        assert len(history) == 3
+        assert events == (step * 3 + evaluation) * 3
 
 
 class TestCodecAndInference:

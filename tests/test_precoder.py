@@ -4,11 +4,13 @@ import pytest
 from hybridprec.channel import PathParams, ChannelRealization, draw_channel
 from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.precoder import (
+    FactorizationDivergedError,
     FactorizeConfig,
     HybridFactors,
     SystemDims,
     analog_from_phases,
     factorization_gradient,
+    factorization_gradient_batch,
     factorize_sgd,
     factorize_sgd_batch,
     fully_digital_gmd,
@@ -234,6 +236,20 @@ class TestFactorizationGradient:
                     assert abs(got - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
 
+    def test_batched_kernel_matches_single_instances(self):
+        rng = np.random.default_rng(12)
+        nt, nt_rf, ns, b = 8, 4, 2, 5
+        r1 = rng.standard_normal((b, nt, ns)) + 1j * rng.standard_normal((b, nt, ns))
+        phases = rng.uniform(0, 2 * np.pi, (b, nt, nt_rf))
+        digital = rng.standard_normal((b, nt_rf, ns)) + 1j * rng.standard_normal((b, nt_rf, ns))
+        analog = np.exp(1j * phases) / np.sqrt(nt)
+        g_phases, g_digital = factorization_gradient_batch(analog, digital, r1 - analog @ digital)
+        for i in range(b):
+            single_phases, single_digital = factorization_gradient(r1[i], phases[i], digital[i])
+            np.testing.assert_array_equal(g_phases[i], single_phases)
+            np.testing.assert_array_equal(g_digital[i], single_digital)
+
+
 class TestFactorizeSgd:
     def test_zero_learning_rate_freezes_factors(self):
         r1 = representable_target(8, 4, 2, seed=2)
@@ -330,6 +346,19 @@ class TestFactorizeSgdBatch:
             )
             np.testing.assert_allclose(trace[:, i], single.loss_trace, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(factors[i].product, single.factors.product, rtol=1e-9, atol=1e-11)
+
+    def test_divergence_raises(self):
+        targets = np.stack([representable_target(8, 4, 2, seed=s) for s in (1, 2, 3)])
+        cfg = FactorizeConfig(learning_rate=5.0, max_iters=100, tolerance=0.0, seed=0)
+        with pytest.raises(FactorizationDivergedError, match=r"in 3 of 3 instances.*learning_rate = 5\.0"):
+            factorize_sgd_batch(targets, 4, cfg)
+
+    def test_non_finite_loss_raises(self):
+        targets = np.stack([representable_target(8, 4, 2, seed=s) for s in (1, 2)])
+        targets[1, 0, 0] = np.nan
+        cfg = FactorizeConfig(learning_rate=0.01, max_iters=5, tolerance=0.0, seed=0)
+        with pytest.raises(FactorizationDivergedError, match="in 1 of 2 instances: worst final loss nan"):
+            factorize_sgd_batch(targets, 4, cfg)
 
     def test_analog_only_mode_freezes_digital(self):
         targets = np.stack([representable_target(8, 4, 2, seed=s) for s in (1, 2)])
