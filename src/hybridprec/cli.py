@@ -266,8 +266,12 @@ def _resolve_threads(threads: int) -> int:
     return os.cpu_count() or 1 if threads == 0 else threads
 
 
-def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict):
-    """Load the configured model, or train one inline when dnn_hybrid is requested."""
+def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict, extra: dict):
+    """Load the configured model, or train one inline when dnn_hybrid is requested.
+
+    Inline training records the same stage times and ``training`` block as a
+    ``train`` run.
+    """
     if "dnn_hybrid" not in cfg.schemes:
         return None
     if cfg.model:
@@ -277,13 +281,31 @@ def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict):
         net = load_mlp(str(model_path))
         _check_model(net, cfg.dims(), model_path)
         return net
+    net, _, extra["training"] = _train_model(cfg, stages)
+    return net
+
+
+def _train_model(cfg: ExperimentConfig, stages: dict):
+    """Build the dataset and train a fresh network, timing the ``dataset`` and ``train`` stages.
+
+    Returns the network, the per-epoch loss history and the manifest's
+    ``training`` block.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     data = build_dataset(cfg.dims(), cfg.train_size, rng)
+    t1 = time.perf_counter()
     net = build_precoder_mlp(cfg.dims(), seed=cfg.seed, noise_sigma=cfg.noise_sigma)
-    net, _ = train(net, data, cfg.factorize_config())
-    stages["train"] = time.perf_counter() - t0
-    return net
+    net, history = train(net, data, cfg.factorize_config())
+    stages.update(dataset=t1 - t0, train=time.perf_counter() - t1)
+    # train stops only at an epoch's end or at max_iters
+    steps_per_epoch = -(-len(data.train_samples) // cfg.batch_size)
+    training = {
+        "epochs": len(history),
+        "steps": min(cfg.max_iters, len(history) * steps_per_epoch),
+        "final_loss": float(history[-1]),
+    }
+    return net, history, training
 
 
 def _check_model(net, dims: SystemDims, path: Path) -> None:
@@ -315,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
     try:
         t0 = time.perf_counter()
         if cfg.kind == "ber":
-            net = _model_for(cfg, Path(config_dir), stages)
+            net = _model_for(cfg, Path(config_dir), stages, extra)
             curves = ber_curve(
                 cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
                 cfg=cfg.factorize_config(), net=net, threads=threads,
@@ -330,7 +352,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
             outputs.append(csv_path)
             outputs.append(emit_plot_script(csv_path))
         elif cfg.kind == "se":
-            net = _model_for(cfg, Path(config_dir), stages)
+            net = _model_for(cfg, Path(config_dir), stages, extra)
             curves = se_curve(
                 cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
                 cfg=cfg.factorize_config(), net=net, threads=threads,
@@ -434,25 +456,13 @@ def _run_gmd_check(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, float, f
 
 def _run_train(cfg: ExperimentConfig, out_dir: Path, stages: dict) -> tuple[list[Path], dict]:
     """Build the dataset, train, save; returns the outputs and the manifest's training block."""
+    net, history, training = _train_model(cfg, stages)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
-    data = build_dataset(cfg.dims(), cfg.train_size, rng)
-    t1 = time.perf_counter()
-    net = build_precoder_mlp(cfg.dims(), seed=cfg.seed, noise_sigma=cfg.noise_sigma)
-    net, history = train(net, data, cfg.factorize_config())
-    t2 = time.perf_counter()
     model_path = out_dir / "model.npz"
     save_mlp(net, str(model_path))
     csv_path = out_dir / "train_history.csv"
     _write_csv(csv_path, ["epoch", "loss"], [[i, v] for i, v in enumerate(history, start=1)])
-    stages.update(dataset=t1 - t0, train=t2 - t1, save=time.perf_counter() - t2)
-    # train stops only at an epoch's end or at max_iters
-    steps_per_epoch = -(-len(data.train_samples) // cfg.batch_size)
-    training = {
-        "epochs": len(history),
-        "steps": min(cfg.max_iters, len(history) * steps_per_epoch),
-        "final_loss": float(history[-1]),
-    }
+    stages["save"] = time.perf_counter() - t0
     print(f"final_train_loss={history[-1]:.6f} epochs={len(history)}")
     return [model_path, csv_path], training
 

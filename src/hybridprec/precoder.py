@@ -7,6 +7,16 @@ constraint holds exactly at every iterate, and both parts are driven by
 momentum SGD on the squared Frobenius mismatch: v <- alpha*v - eps*g,
 p <- p + v. Gradients are analytic (Wirtinger calculus on the real
 parameterization) and are validated against finite differences in the tests.
+
+A phase step v moves each analog entry along the unit circle, multiplying it
+by exp(j*v) (the circle-manifold view of Yu, Shen, Zhang and Letaief, IEEE
+JSTSP 2016). The batched factorizer therefore rotates R_A in place instead of
+recomputing exp(j*phases) every iteration, with exp(j*v) evaluated by float64
+Taylor polynomials. An entry whose step exceeds |v| = 0.05 takes the exact
+exp(j*phase)/sqrt(nt) instead, decided per element so that no instance
+depends on the rest of its batch, and the whole stack is recomputed exactly
+every STOP_WINDOW iterations and before returning, so the returned factors
+are exact functions of the phases.
 """
 
 from __future__ import annotations
@@ -92,6 +102,17 @@ class FactorizeConfig:
 
 class FactorizationDivergedError(ValueError):
     """Momentum SGD ended above its starting loss, or at a non-finite one."""
+
+
+def _check_divergence(start, final, learning_rate: float) -> None:
+    """Raise :class:`FactorizationDivergedError` when any final loss is non-finite or above its start."""
+    final = np.atleast_1d(final)
+    diverged = ~np.isfinite(final) | (final > start)
+    if diverged.any():
+        raise FactorizationDivergedError(
+            f"factorization diverged in {int(diverged.sum())} of {final.size} instances: worst final loss "
+            f"{np.max(final[diverged]):.3e} (learning_rate = {learning_rate})"
+        )
 
 
 # momentum makes single iterations jitter, so convergence is judged between
@@ -246,6 +267,49 @@ def factorization_gradient_batch(
     return g_phases, g_digital
 
 
+# exp(j*v) = cos(v) + j*sin(v) by Taylor polynomials in v^2 (degree 8 and 9 in v);
+# for |v| <= _ROTATION_BOUND the first dropped terms are below 3e-20
+_ROTATION_BOUND = 0.05
+# the rotation runs over blocks of about this many elements, so that a block's
+# temporaries (about 1 MB) stay in a 1-2 MB L2 cache at large batch sizes
+_ROTATION_BLOCK = 32768
+_COS_COEFFS = (1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -0.5)
+_SIN_COEFFS = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
+
+
+def _horner(v2: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """1 + v2*(c_last + v2*(... + v2*c_first)), the coefficients given highest order first."""
+    p = coeffs[0] * v2
+    for c in coeffs[1:]:
+        p += c
+        p *= v2
+    p += 1.0
+    return p
+
+
+def _rotate_analog(analog: np.ndarray, phases: np.ndarray, step: np.ndarray, root_nt: float) -> None:
+    """Multiply ``analog`` in place by exp(j*step), the phases having just moved by ``step``.
+
+    An entry whose |step| exceeds _ROTATION_BOUND takes the exact
+    exp(j*phases)/root_nt instead; the choice is made element by element.
+    The stack is processed in blocks of instances so that the temporaries
+    stay in cache at large batch sizes.
+    """
+    rows = max(1, _ROTATION_BLOCK // (step.shape[-2] * step.shape[-1]))
+    for lo in range(0, len(step), rows):
+        a, p, v = analog[lo : lo + rows], phases[lo : lo + rows], step[lo : lo + rows]
+        v2 = v * v
+        rot = np.empty(v.shape, dtype=complex)
+        rot.real = _horner(v2, _COS_COEFFS)
+        sin = _horner(v2, _SIN_COEFFS)
+        sin *= v
+        rot.imag = sin
+        a *= rot
+        far = v2 > _ROTATION_BOUND**2
+        if far.any():
+            a[far] = np.exp(1j * p[far]) / root_nt
+
+
 def _windowed_stop(trace: list, it: int, tolerance: float) -> bool:
     """True when the last full window's best loss stopped improving on the previous one's."""
     if it % STOP_WINDOW != 0 or it < 2 * STOP_WINDOW:
@@ -271,6 +335,10 @@ def factorize_sgd(
     non-converged instead of raising. With ``optimize_digital=False`` only
     the phases move, which is the analog-only comparator used by the
     convergence experiments.
+
+    Raises :class:`FactorizationDivergedError` by the rule of
+    :func:`factorize_sgd_batch`: a final loss that is non-finite or above
+    the starting loss.
     """
     r1 = np.asarray(r1, dtype=complex)
     nt, ns = r1.shape
@@ -296,6 +364,7 @@ def factorize_sgd(
         if _windowed_stop(trace, it, cfg.tolerance):
             converged = True
             break
+    _check_divergence(trace[0], trace[-1], cfg.learning_rate)
     factors, scale = _power_normalize_scale(HybridFactors(analog=analog_from_phases(phases), digital=digital))
     return FactorizeResult(
         factors=factors, loss_trace=np.asarray(trace), converged=converged, power_scale=float(scale)
@@ -315,6 +384,10 @@ def factorize_sgd_batch(
     shares the iteration loop, which is what makes Monte-Carlo BER points
     with tens of thousands of factorizations tractable. All instances run
     the same number of iterations: the stop rule applies to the mean loss.
+    Between exact recomputations (every STOP_WINDOW iterations and before
+    returning) the analog stack is rotated in place by exp(j*step), see the
+    module docstring; the losses agree with an exact-exp loop to about 1e-13
+    relative, and each instance's result is independent of its batch.
     ``seeds[i]`` seeds instance i (default: cfg.seed + i). Returns the
     power-normalized factors, the loss matrix (iterations+1 x b), and the
     final per-instance losses.
@@ -341,28 +414,28 @@ def factorize_sgd_batch(
     err = r1_stack - analog @ digital
     trace = [np.linalg.norm(err, axis=(1, 2))]
     mean_trace = [float(np.mean(trace[0]))]
-    for it in range(1, cfg.max_iters + 1):
-        g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
-        v_phases *= cfg.momentum
-        v_phases -= cfg.learning_rate * g_phases
-        phases += v_phases
-        if optimize_digital:
-            v_digital *= cfg.momentum
-            v_digital -= cfg.learning_rate * g_digital
-            digital += v_digital
-        analog = np.exp(1j * phases) / root_nt
-        err = r1_stack - analog @ digital
-        trace.append(np.linalg.norm(err, axis=(1, 2)))
-        mean_trace.append(float(np.mean(trace[-1])))
-        if _windowed_stop(mean_trace, it, cfg.tolerance):
-            break
-    final = trace[-1]
-    diverged = ~np.isfinite(final) | (final > trace[0])
-    if diverged.any():
-        raise FactorizationDivergedError(
-            f"factorization diverged in {int(diverged.sum())} of {b} instances: worst final loss "
-            f"{np.max(final[diverged]):.3e} (learning_rate = {cfg.learning_rate})"
-        )
+    # a diverging run overflows the rotation polynomials; the check after the
+    # loop reports it, so the loop does not also warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
+            v_phases *= cfg.momentum
+            v_phases -= cfg.learning_rate * g_phases
+            phases += v_phases
+            if optimize_digital:
+                v_digital *= cfg.momentum
+                v_digital -= cfg.learning_rate * g_digital
+                digital += v_digital
+            if it % STOP_WINDOW == 0 or it == cfg.max_iters:
+                analog = np.exp(1j * phases) / root_nt
+            else:
+                _rotate_analog(analog, phases, v_phases, root_nt)
+            err = r1_stack - analog @ digital
+            trace.append(np.linalg.norm(err, axis=(1, 2)))
+            mean_trace.append(float(np.mean(trace[-1])))
+            if _windowed_stop(mean_trace, it, cfg.tolerance):
+                break
+    _check_divergence(trace[0], trace[-1], cfg.learning_rate)
     factors = [
         power_normalize(HybridFactors(analog=analog[i], digital=digital[i])) for i in range(b)
     ]

@@ -231,6 +231,37 @@ class TestRunExperiment:
         training = json.loads((tmp_path / "out" / "manifest.json").read_text())["training"]
         assert (training["epochs"], training["steps"]) == (4, 10)
 
+    def test_inline_training_recorded_like_a_train_run(self, tmp_path, monkeypatch):
+        import json
+
+        import hybridprec.dnn as dnn_module
+
+        steps = []
+        step = dnn_module.sgd_momentum_step
+
+        def counted_step(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        text = (
+            "nt = 8\nnr = 4\nnt_rf = 4\nnr_rf = 4\nns = 2\ntrain_size = 6\nmax_iters = 10\n"
+            "batch_size = 2\nseed = 2\ntolerance = 0.0\nsnr_grid_db = 0, 10\ntrials = 50\n"
+        )
+        # the model a train run saves gives the same curve as the inline one
+        run_experiment(parse_config(write_config(tmp_path, text, "train.cfg"), kind="train"), tmp_path / "trained")
+        ber_text = text + "schemes = dnn_hybrid, fully_digital_gmd\n"
+        saved = write_config(tmp_path, ber_text + "model = trained/model.npz\n", "saved.cfg")
+        run_experiment(parse_config(saved, kind="ber"), tmp_path / "saved", config_dir=tmp_path)
+        monkeypatch.setattr(dnn_module, "sgd_momentum_step", counted_step)
+        inline = write_config(tmp_path, ber_text, "inline.cfg")
+        run_experiment(parse_config(inline, kind="ber"), tmp_path / "inline", config_dir=tmp_path)
+        manifest = json.loads((tmp_path / "inline" / "manifest.json").read_text())
+        assert {"dataset", "train", "compute"} <= set(manifest["stages_seconds"])
+        trained = json.loads((tmp_path / "trained" / "manifest.json").read_text())["training"]
+        assert manifest["training"] == trained
+        assert manifest["training"]["steps"] == len(steps) == 10
+        assert (tmp_path / "inline" / "ber.csv").read_bytes() == (tmp_path / "saved" / "ber.csv").read_bytes()
+
     def test_train_without_steps_rejected_with_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2: train requires max_iters >= 1"):
             parse_config(write_config(tmp_path, "seed = 1\nmax_iters = 0\n"), kind="train")

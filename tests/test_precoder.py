@@ -4,6 +4,7 @@ import pytest
 from hybridprec.channel import PathParams, ChannelRealization, draw_channel
 from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.precoder import (
+    STOP_WINDOW,
     FactorizationDivergedError,
     FactorizeConfig,
     HybridFactors,
@@ -22,6 +23,7 @@ from hybridprec.precoder import (
     power_normalize,
     precoder_mse,
 )
+from hybridprec.simulate import draw_ensemble
 
 
 def wrap_channel(matrix):
@@ -334,6 +336,12 @@ class TestFactorizeSgd:
         with pytest.raises(ValueError):
             factorize_sgd(representable_target(8, 4, 2, seed=0), 1, FactorizeConfig())
 
+    def test_divergence_raises(self):
+        # the stop rule reads the growing loss as converged; the divergence check still fires
+        cfg = FactorizeConfig(learning_rate=5.0, max_iters=600, tolerance=0.0, seed=0)
+        with pytest.raises(FactorizationDivergedError, match=r"in 1 of 1 instances.*learning_rate = 5\.0"):
+            factorize_sgd(representable_target(8, 4, 2, seed=1), 4, cfg)
+
 
 class TestFactorizeSgdBatch:
     def test_matches_single_instance_runs(self):
@@ -368,6 +376,116 @@ class TestFactorizeSgdBatch:
             _, digital0 = init_factor_params(8, 4, 2, seed=seed)
             scale = np.linalg.norm(factors[i].digital) / np.linalg.norm(digital0)
             np.testing.assert_allclose(factors[i].digital, digital0 * scale, atol=1e-12)
+
+
+def exact_exp_reference(r1_stack, nt_rf, cfg, seeds):
+    """The batched momentum-SGD loop with analog = exp(j*phases)/sqrt(nt) recomputed every iteration."""
+    b, nt, ns = r1_stack.shape
+    phases = np.empty((b, nt, nt_rf))
+    digital = np.empty((b, nt_rf, ns), dtype=complex)
+    for i, seed in enumerate(seeds):
+        phases[i], digital[i] = init_factor_params(nt, nt_rf, ns, seed)
+    v_phases = np.zeros_like(phases)
+    v_digital = np.zeros_like(digital)
+    analog = np.exp(1j * phases) / np.sqrt(nt)
+    err = r1_stack - analog @ digital
+    trace = [np.linalg.norm(err, axis=(1, 2))]
+    for _ in range(cfg.max_iters):
+        g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
+        v_phases = cfg.momentum * v_phases - cfg.learning_rate * g_phases
+        phases = phases + v_phases
+        v_digital = cfg.momentum * v_digital - cfg.learning_rate * g_digital
+        digital = digital + v_digital
+        analog = np.exp(1j * phases) / np.sqrt(nt)
+        err = r1_stack - analog @ digital
+        trace.append(np.linalg.norm(err, axis=(1, 2)))
+    return np.asarray(trace), analog, digital
+
+
+class TestRotatedAnalogStep:
+    """The batched loop rotates R_A by exp(j*step) between exact recomputations."""
+
+    DIMS = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
+
+    def ensemble(self, n, seed=3):
+        ens = draw_ensemble(self.DIMS, n, seed, 0)
+        return ens.r1, ens.factor_seeds
+
+    def test_instance_independent_of_its_batch(self, monkeypatch):
+        import hybridprec.precoder as precoder_module
+
+        r1, seeds = self.ensemble(5)
+        r1 = r1.copy()
+        r1[2] *= 20.0  # a large first phase step: this instance takes the exact fallback
+        cfg = FactorizeConfig(learning_rate=0.02, max_iters=2 * STOP_WINDOW + 17, tolerance=0.0)
+        first_step = np.stack(
+            [
+                cfg.learning_rate * np.abs(factorization_gradient(r1[i], *init_factor_params(16, 4, 2, seeds[i]))[0])
+                for i in range(5)
+            ]
+        ).max(axis=(1, 2))
+        assert first_step[2] > 0.05 and np.all(np.delete(first_step, 2) < 0.05)
+        full_factors, full_trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        runs = [(i, i + 1) for i in range(5)] + [(0, 3)]
+        for lo, hi in runs:
+            factors, trace, _ = factorize_sgd_batch(r1[lo:hi], 4, cfg, seeds=seeds[lo:hi])
+            for k, i in enumerate(range(lo, hi)):
+                np.testing.assert_array_equal(trace[:, k], full_trace[:, i])
+                np.testing.assert_array_equal(factors[k].analog, full_factors[i].analog)
+                np.testing.assert_array_equal(factors[k].digital, full_factors[i].digital)
+        # rotation blocks of two instances: 2, 2 and 1 per iteration
+        monkeypatch.setattr(precoder_module, "_ROTATION_BLOCK", 2 * 16 * 4)
+        factors, trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        np.testing.assert_array_equal(trace, full_trace)
+        for k in range(5):
+            np.testing.assert_array_equal(factors[k].analog, full_factors[k].analog)
+
+    def test_trace_matches_exact_exp_loop(self):
+        r1, seeds = self.ensemble(50)
+        cfg = FactorizeConfig(learning_rate=0.02, max_iters=600, tolerance=0.0)
+        factors, trace, finals = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        ref_trace, ref_analog, _ = exact_exp_reference(r1, 4, cfg, seeds)
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-11)
+        np.testing.assert_array_equal(finals, trace[-1])
+        np.testing.assert_allclose(np.stack([f.analog for f in factors]), ref_analog, rtol=0, atol=1e-11)
+
+    def test_zero_learning_rate_keeps_analog_exact(self):
+        r1, seeds = self.ensemble(4)
+        cfg = FactorizeConfig(learning_rate=0.0, max_iters=STOP_WINDOW + 7, tolerance=0.0)
+        factors, trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        assert np.all(trace == trace[0])
+        for i, seed in enumerate(seeds):
+            phases0, _ = init_factor_params(16, 4, 2, seed)
+            np.testing.assert_array_equal(factors[i].analog, np.exp(1j * phases0) / np.sqrt(16))
+
+    def test_returned_analog_has_constant_modulus(self):
+        r1, seeds = self.ensemble(40)
+        for iters in (STOP_WINDOW - 1, 3 * STOP_WINDOW + 11):
+            cfg = FactorizeConfig(learning_rate=0.02, max_iters=iters, tolerance=0.0)
+            factors, _, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+            for f in factors:
+                assert np.max(np.abs(np.abs(f.analog) - 1 / np.sqrt(16))) <= 1e-15
+
+    def test_exact_every_window_and_before_returning(self, monkeypatch):
+        import hybridprec.precoder as precoder_module
+
+        seen = []
+        rotate = precoder_module._rotate_analog
+
+        def recording(analog, phases, step, root_nt):
+            seen.append(phases)  # the loop updates this array in place
+            rotate(analog, phases, step, root_nt)
+
+        monkeypatch.setattr(precoder_module, "_rotate_analog", recording)
+        r1, seeds = self.ensemble(6)
+        iters = 2 * STOP_WINDOW + 17
+        cfg = FactorizeConfig(learning_rate=0.02, max_iters=iters, tolerance=0.0)
+        factors, _, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        assert len(seen) == iters - 3  # exact at iterations 50, 100 and the last
+        final_phases = seen[-1]
+        np.testing.assert_array_equal(
+            np.stack([f.analog for f in factors]), np.exp(1j * final_phases) / np.sqrt(16)
+        )
 
 
 class TestSystemDims:
