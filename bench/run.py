@@ -12,6 +12,10 @@ Every row is the median of ``--repeats`` timed runs, measured with
   (time of K iterations - time of 0 iterations) / K on ensemble channels,
   with the optimizer of ``configs/ber.cfg``. K is a multiple of the
   factorizer's 50-iteration stop window;
+- ``factorize_sgd.single.i600``: one call of the single-instance factorizer
+  (a batch of one) at 600 iterations on one ensemble channel, nt = 16, the
+  optimizer of ``configs/ber.cfg``; this is the path that acceptance
+  criterion 4 and ``complexity-bench`` time;
 - ``draw_ensemble.t20000``: channels, SVD and GMD of 20000 trials;
 - ``mlp_train.s1500``: 1500 training steps of the precoder MLP, batch 20, on
   500 channels (the dataset is built once, outside the timing);
@@ -49,12 +53,13 @@ import numpy as np  # noqa: E402
 import hybridprec  # noqa: E402
 from hybridprec.cli import main as cli_main  # noqa: E402
 from hybridprec.dnn import build_dataset, build_precoder_mlp, train  # noqa: E402
-from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd_batch  # noqa: E402
+from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd, factorize_sgd_batch  # noqa: E402
 from hybridprec.simulate import draw_ensemble  # noqa: E402
 
 DIMS = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
 # instances -> timed iterations, each a multiple of the 50-iteration stop window
 FACTORIZE_SIZES = {20: 1000, 500: 300, 2000: 100, 20000: 50}
+SINGLE_ITERS = 600
 DRAW_TRIALS = 20000
 TRAIN_STEPS = 1500
 CLI_TRIALS = 2000
@@ -107,6 +112,12 @@ def factorize_rows():
             return (run(iters) - run(0)) / iters
 
         yield f"factorize_sgd_batch.iteration.b{b}", one_iteration, {"instances": b, "iterations": iters}
+
+
+def single_row_factory():
+    ens = draw_ensemble(DIMS, 1, seed=1, point=0)
+    cfg = FactorizeConfig(learning_rate=0.02, max_iters=SINGLE_ITERS, tolerance=0.0, seed=int(ens.factor_seeds[0]))
+    return lambda: timed(lambda: factorize_sgd(ens.r1[0], DIMS.nt_rf, cfg))
 
 
 def draw_row():
@@ -167,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         jobs = list(factorize_rows())
+        jobs.append((f"factorize_sgd.single.i{SINGLE_ITERS}", single_row_factory(), {"iterations": SINGLE_ITERS}))
         jobs.append((f"draw_ensemble.t{DRAW_TRIALS}", draw_row, {"trials": DRAW_TRIALS}))
         jobs.append((f"mlp_train.s{TRAIN_STEPS}", train_row_factory(), {"steps": TRAIN_STEPS, "batch": 20}))
         jobs.append((f"cli_ber.t{CLI_TRIALS}", cli_row_factory(Path(tmp)), {"config": "configs/ber.cfg"}))

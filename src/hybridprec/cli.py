@@ -212,9 +212,9 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {cfg.threads}")
+    if cfg.kind in ("ber", "se", "mse") and not cfg.schemes:
+        raise ConfigError(f"{at('schemes')}{cfg.kind} requires a non-empty schemes list")
     if cfg.kind in ("ber", "se"):
-        if not cfg.schemes:
-            raise ConfigError(f"{cfg.kind} requires a non-empty schemes list")
         for s in cfg.schemes:
             if s not in SCHEME_IDS:
                 raise ConfigError(f"unknown scheme {s!r}, expected one of {SCHEME_IDS}")
@@ -256,10 +256,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _mse_schemes(cfg: ExperimentConfig) -> tuple:
-    return cfg.schemes if all(s in MSE_METHODS for s in cfg.schemes) and cfg.schemes else MSE_METHODS
 
 
 def _resolve_threads(threads: int) -> int:
@@ -373,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
                 for _ in range(cfg.trials)
             ]
             rows = []
-            for method in _mse_schemes(cfg):
+            for method in cfg.schemes:
                 curve = mse_vs_iterations(method, channels, cfg.dims(), cfg.factorize_config())
                 rows.extend([it, method, mse] for it, mse in zip(curve.iteration, curve.mse))
             csv_path = out_dir / "mse.csv"

@@ -104,17 +104,6 @@ class FactorizationDivergedError(ValueError):
     """Momentum SGD ended above its starting loss, or at a non-finite one."""
 
 
-def _check_divergence(start, final, learning_rate: float) -> None:
-    """Raise :class:`FactorizationDivergedError` when any final loss is non-finite or above its start."""
-    final = np.atleast_1d(final)
-    diverged = ~np.isfinite(final) | (final > start)
-    if diverged.any():
-        raise FactorizationDivergedError(
-            f"factorization diverged in {int(diverged.sum())} of {final.size} instances: worst final loss "
-            f"{np.max(final[diverged]):.3e} (learning_rate = {learning_rate})"
-        )
-
-
 # momentum makes single iterations jitter, so convergence is judged between
 # consecutive windows of this many iterations rather than between iterations
 STOP_WINDOW = 50
@@ -160,9 +149,10 @@ def phase_project(target: np.ndarray) -> np.ndarray:
 
     Zero entries map to phase 0. This is the entrywise (hence global)
     minimizer of ||target - X||_F over matrices with |X_ij| = 1/sqrt(nt).
+    A (..., nt, ns) stack is projected matrix by matrix.
     """
     target = np.asarray(target)
-    nt = target.shape[0]
+    nt = target.shape[-2]
     return np.exp(1j * np.angle(target)) / np.sqrt(nt)
 
 
@@ -219,10 +209,11 @@ def phase_projection_baseline(r1: np.ndarray) -> HybridFactors:
     """One-shot baseline: analog = phase projection of R1, digital = matched filter.
 
     Occupies ns of the available RF chains (the projection has R1's column
-    count). The result is power-normalized.
+    count). The result is power-normalized. A (b, nt, ns) stack of targets
+    gives stacked factors, one pair per target.
     """
     analog = phase_project(r1)
-    digital = analog.conj().T @ r1
+    digital = np.conj(np.swapaxes(analog, -1, -2)) @ r1
     return power_normalize(HybridFactors(analog=analog, digital=digital))
 
 
@@ -310,13 +301,17 @@ def _rotate_analog(analog: np.ndarray, phases: np.ndarray, step: np.ndarray, roo
             a[far] = np.exp(1j * p[far]) / root_nt
 
 
-def _windowed_stop(trace: list, it: int, tolerance: float) -> bool:
-    """True when the last full window's best loss stopped improving on the previous one's."""
+def _windowed_stop(trace, it: int, tolerance: float):
+    """True where the last full window's best loss stopped improving on the previous one's.
+
+    ``trace[k]`` is the loss after step k, or a row of per-instance losses, in
+    which case the rule is applied to each column and an array is returned.
+    """
     if it % STOP_WINDOW != 0 or it < 2 * STOP_WINDOW:
         return False
-    prev = min(trace[it - 2 * STOP_WINDOW + 1 : it - STOP_WINDOW + 1])
-    cur = min(trace[it - STOP_WINDOW + 1 : it + 1])
-    return prev - cur < tolerance * max(prev, np.finfo(float).tiny)
+    prev = np.min(trace[it - 2 * STOP_WINDOW + 1 : it - STOP_WINDOW + 1], axis=0)
+    cur = np.min(trace[it - STOP_WINDOW + 1 : it + 1], axis=0)
+    return prev - cur < tolerance * np.maximum(prev, np.finfo(float).tiny)
 
 
 def factorize_sgd(
@@ -327,48 +322,19 @@ def factorize_sgd(
 ) -> FactorizeResult:
     """Factor R1 into constant-modulus analog and digital parts by momentum SGD.
 
-    The squared loss is optimized for smooth gradients; the trace reports the
-    root (the Frobenius mismatch itself). Iteration stops when the relative
-    improvement of the windowed-minimum loss between consecutive
-    STOP_WINDOW-iteration windows drops below ``cfg.tolerance``, or after
-    ``cfg.max_iters`` steps; hitting the cap flags the result as
-    non-converged instead of raising. With ``optimize_digital=False`` only
-    the phases move, which is the analog-only comparator used by the
-    convergence experiments.
-
-    Raises :class:`FactorizationDivergedError` by the rule of
-    :func:`factorize_sgd_batch`: a final loss that is non-finite or above
-    the starting loss.
+    A batch of one of :func:`factorize_sgd_batch`, seeded by ``cfg.seed``, so
+    the trace and factors are bit-equal to that instance's in any batch; the
+    stop rule and the divergence check are the batch's. ``converged`` is
+    False when the run hit ``cfg.max_iters`` without the rule firing. With
+    ``optimize_digital=False`` only the phases move, which is the
+    analog-only comparator used by the convergence experiments.
     """
-    r1 = np.asarray(r1, dtype=complex)
-    nt, ns = r1.shape
-    if not ns <= nt_rf <= nt:
-        raise ValueError(f"ns <= nt_rf <= nt must hold, got ns={ns}, nt_rf={nt_rf}, nt={nt}")
-    phases, digital = init_factor_params(nt, nt_rf, ns, cfg.seed)
-    v_phases = np.zeros_like(phases)
-    v_digital = np.zeros_like(digital)
-
-    def loss() -> float:
-        return float(np.linalg.norm(r1 - analog_from_phases(phases) @ digital))
-
-    trace = [loss()]
-    converged = False
-    for it in range(1, cfg.max_iters + 1):
-        g_phases, g_digital = factorization_gradient(r1, phases, digital)
-        v_phases = cfg.momentum * v_phases - cfg.learning_rate * g_phases
-        phases = phases + v_phases
-        if optimize_digital:
-            v_digital = cfg.momentum * v_digital - cfg.learning_rate * g_digital
-            digital = digital + v_digital
-        trace.append(loss())
-        if _windowed_stop(trace, it, cfg.tolerance):
-            converged = True
-            break
-    _check_divergence(trace[0], trace[-1], cfg.learning_rate)
-    factors, scale = _power_normalize_scale(HybridFactors(analog=analog_from_phases(phases), digital=digital))
-    return FactorizeResult(
-        factors=factors, loss_trace=np.asarray(trace), converged=converged, power_scale=float(scale)
+    analog, digital, trace = _momentum_sgd(
+        np.asarray(r1, dtype=complex)[None], nt_rf, cfg, [cfg.seed], optimize_digital
     )
+    factors, scale = _power_normalize_scale(HybridFactors(analog=analog[0], digital=digital[0]))
+    converged = bool(np.all(_windowed_stop(trace, len(trace) - 1, cfg.tolerance)))
+    return FactorizeResult(factors=factors, loss_trace=trace[:, 0], converged=converged, power_scale=float(scale))
 
 
 def factorize_sgd_batch(
@@ -380,22 +346,33 @@ def factorize_sgd_batch(
 ) -> tuple[list[HybridFactors], np.ndarray, np.ndarray]:
     """Factor a stack of targets (b x nt x ns) in lockstep, vectorized over the batch.
 
-    Per-instance math is identical to :func:`factorize_sgd`; the batch just
-    shares the iteration loop, which is what makes Monte-Carlo BER points
-    with tens of thousands of factorizations tractable. All instances run
-    the same number of iterations: the stop rule applies to the mean loss.
-    Between exact recomputations (every STOP_WINDOW iterations and before
-    returning) the analog stack is rotated in place by exp(j*step), see the
-    module docstring; the losses agree with an exact-exp loop to about 1e-13
-    relative, and each instance's result is independent of its batch.
-    ``seeds[i]`` seeds instance i (default: cfg.seed + i). Returns the
-    power-normalized factors, the loss matrix (iterations+1 x b), and the
-    final per-instance losses.
+    The squared loss is optimized for smooth gradients; the trace reports
+    the root (the Frobenius mismatch itself). An instance stops when the
+    relative improvement of its windowed-minimum loss between consecutive
+    STOP_WINDOW-iteration windows drops below ``cfg.tolerance``, or after
+    ``cfg.max_iters`` steps. It then leaves the working arrays, so the cost
+    of an iteration falls as instances finish, and no instance's result
+    depends on its batch. The analog stack is rotated in place by
+    exp(j*step) between exact recomputations (module docstring), which keeps
+    the losses within about 1e-13 relative of an exact-exp loop.
+    ``seeds[i]`` seeds instance i (default: cfg.seed + i).
 
-    Raises :class:`FactorizationDivergedError` when any instance ends with a
-    non-finite loss or above its starting loss (a learning rate too large
-    for the target), so a diverged run never turns into a BER figure.
+    Returns the power-normalized factors, the loss matrix (longest run + 1)
+    x b, whose column i repeats instance i's final loss after its stop, and
+    the final per-instance losses. Raises :class:`FactorizationDivergedError`
+    when any instance ends with a non-finite loss or above its starting loss
+    (a learning rate too large for the target), so a diverged run never
+    turns into a BER figure.
     """
+    analog, digital, trace = _momentum_sgd(r1_stack, nt_rf, cfg, seeds, optimize_digital)
+    factors = [power_normalize(HybridFactors(analog=a, digital=d)) for a, d in zip(analog, digital)]
+    return factors, trace, trace[-1]
+
+
+def _momentum_sgd(
+    r1_stack: np.ndarray, nt_rf: int, cfg: FactorizeConfig, seeds, optimize_digital: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop behind both factorizers: raw (not power-normalized) analog and digital stacks, and the loss matrix."""
     r1_stack = np.asarray(r1_stack, dtype=complex)
     b, nt, ns = r1_stack.shape
     if not ns <= nt_rf <= nt:
@@ -409,11 +386,14 @@ def factorize_sgd_batch(
     v_phases = np.zeros_like(phases)
     v_digital = np.zeros_like(digital)
     root_nt = np.sqrt(nt)
+    # the working arrays hold the running instances, in instance order
+    running = np.ones(b, dtype=bool)
+    final_analog = np.empty((b, nt, nt_rf), dtype=complex)
+    final_digital = np.empty_like(digital)
 
     analog = np.exp(1j * phases) / root_nt
     err = r1_stack - analog @ digital
     trace = [np.linalg.norm(err, axis=(1, 2))]
-    mean_trace = [float(np.mean(trace[0]))]
     # a diverging run overflows the rotation polynomials; the check after the
     # loop reports it, so the loop does not also warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -431,12 +411,33 @@ def factorize_sgd_batch(
             else:
                 _rotate_analog(analog, phases, v_phases, root_nt)
             err = r1_stack - analog @ digital
-            trace.append(np.linalg.norm(err, axis=(1, 2)))
-            mean_trace.append(float(np.mean(trace[-1])))
-            if _windowed_stop(mean_trace, it, cfg.tolerance):
+            loss = np.linalg.norm(err, axis=(1, 2))
+            if len(loss) < b:  # a stopped instance repeats its final loss
+                loss, running_loss = trace[-1].copy(), loss
+                loss[running] = running_loss
+            trace.append(loss)
+            # the rule fires only at window ends, where the analog stack is exact
+            if it % STOP_WINDOW != 0:
+                continue
+            stop = running & _windowed_stop(trace, it, cfg.tolerance)
+            if not stop.any():
+                continue
+            keep = ~stop[running]
+            final_analog[stop], final_digital[stop] = analog[~keep], digital[~keep]
+            running &= ~stop
+            r1_stack, phases, digital, v_phases, v_digital, analog, err = (
+                x[keep] for x in (r1_stack, phases, digital, v_phases, v_digital, analog, err)
+            )
+            if not running.any():
                 break
-    _check_divergence(trace[0], trace[-1], cfg.learning_rate)
-    factors = [
-        power_normalize(HybridFactors(analog=analog[i], digital=digital[i])) for i in range(b)
-    ]
-    return factors, np.asarray(trace), trace[-1]
+    trace = np.asarray(trace)
+    diverged = ~np.isfinite(trace[-1]) | (trace[-1] > trace[0])
+    if diverged.any():
+        raise FactorizationDivergedError(
+            f"factorization diverged in {int(diverged.sum())} of {b} instances: worst final loss "
+            f"{np.max(trace[-1][diverged]):.3e} (learning_rate = {cfg.learning_rate})"
+        )
+    if running.all():
+        return analog, digital, trace
+    final_analog[running], final_digital[running] = analog, digital
+    return final_analog, final_digital, trace

@@ -34,7 +34,7 @@ from hybridprec.channel import NLOS_GAIN_VAR, ChannelRealization
 from hybridprec.channel import sample_path_params  # noqa: F401
 from hybridprec.decomp import RankDeficiencyError, gmd, gmd_from_svd
 from hybridprec.dnn import Mlp, infer_precoders
-from hybridprec.precoder import FactorizeConfig, HybridFactors, SystemDims, factorize_sgd_batch, power_normalize
+from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd_batch, phase_projection_baseline
 
 SCHEME_IDS = (
     "dnn_hybrid",
@@ -331,9 +331,7 @@ def build_scheme_factors(
     if scheme == "fully_digital_svd":
         return ensemble.v[:, :, :ns], ensemble.u[:, :, :ns]
     if scheme == "phase_projection":
-        analog = np.exp(1j * np.angle(ensemble.r1)) / np.sqrt(dims.nt)
-        digital = np.conj(np.swapaxes(analog, 1, 2)) @ ensemble.r1
-        return power_normalize(HybridFactors(analog=analog, digital=digital)).product, ensemble.w1
+        return phase_projection_baseline(ensemble.r1).product, ensemble.w1
     if scheme == "sgd_hybrid":
         if cfg is None:
             raise ValueError("sgd_hybrid requires a FactorizeConfig")
@@ -489,8 +487,11 @@ def mse_vs_iterations(
     ``method`` is "sgd_hybrid" (joint phase/digital updates) or
     "analog_only" (digital part frozen at its initialization, phases only,
     mirroring a pure analog precoding comparator). Iteration 0 is the
-    initial-point MSE. All instances run ``cfg.max_iters`` iterations when
-    ``cfg.tolerance`` is 0, which keeps traces aligned.
+    initial-point MSE. Each instance stops on its own trace by the rule of
+    :func:`factorize_sgd_batch`, even at ``cfg.tolerance = 0``, where a
+    window whose best loss rises above the previous window's still stops
+    it. The curve runs to the last instance's stop; an instance that
+    stopped earlier enters every later iteration's mean with its final loss.
     """
     if method not in MSE_METHODS:
         raise ValueError(f"method must be one of {MSE_METHODS}, got {method!r}")

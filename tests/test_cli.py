@@ -100,6 +100,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.cfg", kind="ber")
 
+    @pytest.mark.parametrize("kind", ["mse", "ber"])
+    def test_empty_schemes_rejected_with_line_number(self, tmp_path, kind):
+        with pytest.raises(ConfigError, match=f"line 2: {kind} requires a non-empty schemes list"):
+            parse_config(write_config(tmp_path, "seed = 1\nschemes =\n"), kind=kind)
+
     def test_mse_scheme_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="mse schemes"):
             parse_config(

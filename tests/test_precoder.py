@@ -1,5 +1,10 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridprec.channel import PathParams, ChannelRealization, draw_channel
 from hybridprec.decomp import RankDeficiencyError, gmd
@@ -93,6 +98,20 @@ class TestPhaseProject:
     def test_zero_entries_get_phase_zero(self):
         out = phase_project(np.zeros((4, 2)))
         np.testing.assert_allclose(out, np.full((4, 2), 0.5), atol=1e-14)
+
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(6)
+        targets = rng.standard_normal((6, 8, 2)) + 1j * rng.standard_normal((6, 8, 2))
+        targets[0, 3] = 0.0
+        projected = phase_project(targets)
+        baseline = phase_projection_baseline(targets)
+        # some targets exceed the power budget, so the scaled digital part is compared too
+        assert np.any(baseline.digital != np.conj(np.swapaxes(projected, 1, 2)) @ targets)
+        for i, target in enumerate(targets):
+            single = phase_projection_baseline(target)
+            np.testing.assert_array_equal(projected[i], phase_project(target))
+            np.testing.assert_array_equal(baseline.analog[i], single.analog)
+            np.testing.assert_array_equal(baseline.digital[i], single.digital)
 
     def test_global_minimizer_random_perturbations(self):
         # no constant-modulus matrix sampled or locally perturbed ever does better
@@ -486,6 +505,56 @@ class TestRotatedAnalogStep:
         np.testing.assert_array_equal(
             np.stack([f.analog for f in factors]), np.exp(1j * final_phases) / np.sqrt(16)
         )
+
+
+# nt_rf = ns and a large step make these 12 instances stop at iterations
+# 200-600, and some of them run to the cap at tolerance 1e-2
+STOP_DIMS = SystemDims(nt=8, nr=4, nt_rf=2, nr_rf=2, ns=2)
+
+
+def stop_config(tolerance):
+    return FactorizeConfig(learning_rate=0.1, momentum=0.5, max_iters=600, tolerance=tolerance)
+
+
+@functools.cache
+def stop_ensemble():
+    ens = draw_ensemble(STOP_DIMS, 12, 3, 0)
+    return ens.r1, ens.factor_seeds
+
+
+@functools.cache
+def alone(i, tolerance):
+    """Instance i of the stop ensemble as a batch of one and through factorize_sgd."""
+    r1, seeds = stop_ensemble()
+    cfg = stop_config(tolerance)
+    batch = factorize_sgd_batch(r1[i : i + 1], 2, cfg, seeds=seeds[i : i + 1])
+    return batch, factorize_sgd(r1[i], 2, replace(cfg, seed=int(seeds[i])))
+
+
+class TestPerInstanceStop:
+    """Each instance stops on its own trace, so its result does not depend on its batch."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        st.permutations(range(12)).flatmap(lambda order: st.integers(1, 12).map(lambda n: order[:n])),
+        st.sampled_from([1e-2, 3e-2]),
+    )
+    def test_instance_matches_its_batch_of_one(self, idx, tolerance):
+        r1, seeds = stop_ensemble()
+        cfg = stop_config(tolerance)
+        factors, trace, finals = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
+        for k, i in enumerate(idx):
+            (one_factors, one_trace, one_finals), single = alone(i, tolerance)
+            stop = len(one_trace) - 1
+            np.testing.assert_array_equal(trace[: stop + 1, k], one_trace[:, 0])
+            np.testing.assert_array_equal(single.loss_trace, one_trace[:, 0])
+            assert np.all(trace[stop + 1 :, k] == finals[k])  # padded with its final loss
+            assert finals[k] == one_finals[0] == single.loss_trace[-1]
+            for f in (one_factors[0], single.factors):
+                np.testing.assert_array_equal(factors[k].analog, f.analog)
+                np.testing.assert_array_equal(factors[k].digital, f.digital)
+            if stop < cfg.max_iters:
+                assert single.converged
 
 
 class TestSystemDims:

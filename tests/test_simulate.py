@@ -321,7 +321,9 @@ class TestSchemeConstraints:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "factorize_sgd_batch", recording(simulate.factorize_sgd_batch, lambda r: r[0]))
             mp.setattr(simulate, "infer_precoders", recording(simulate.infer_precoders, lambda r: [r]))
-            mp.setattr(simulate, "power_normalize", recording(simulate.power_normalize, lambda r: [r]))
+            mp.setattr(
+                simulate, "phase_projection_baseline", recording(simulate.phase_projection_baseline, lambda r: [r])
+            )
             for scheme in SCHEME_IDS:
                 analogs.clear()
                 precoders, _ = build_scheme_factors(scheme, ens, dims, cfg=CHEAP, net=net)
