@@ -17,6 +17,8 @@ Every row is the median of ``--repeats`` timed runs, measured with
   optimizer of ``configs/ber.cfg``; this is the path that acceptance
   criterion 4 and ``complexity-bench`` time;
 - ``draw_ensemble.t20000``: channels, SVD and GMD of 20000 trials;
+- ``build_dataset.n500``: the MLP training set of 500 channels: draws, GMD
+  targets and feature vectors;
 - ``mlp_train.s1500``: 1500 training steps of the precoder MLP, batch 20, on
   500 channels (the dataset is built once, outside the timing);
 - ``cli_ber.t2000``: ``hybridprec ber`` on ``configs/ber.cfg`` at
@@ -61,6 +63,7 @@ DIMS = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
 FACTORIZE_SIZES = {20: 1000, 500: 300, 2000: 100, 20000: 50}
 SINGLE_ITERS = 600
 DRAW_TRIALS = 20000
+DATASET_SIZE = 500
 TRAIN_STEPS = 1500
 CLI_TRIALS = 2000
 PROBE_RUNS = 5
@@ -124,8 +127,12 @@ def draw_row():
     return timed(lambda: draw_ensemble(DIMS, DRAW_TRIALS, seed=1, point=0))
 
 
+def dataset_row():
+    return timed(lambda: build_dataset(DIMS, DATASET_SIZE, np.random.default_rng(1)))
+
+
 def train_row_factory():
-    data = build_dataset(DIMS, 500, np.random.default_rng(1))
+    data = build_dataset(DIMS, DATASET_SIZE, np.random.default_rng(1))
     cfg = FactorizeConfig(learning_rate=0.003, max_iters=TRAIN_STEPS, tolerance=0.0, batch=20, seed=1)
 
     def run():
@@ -180,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         jobs = list(factorize_rows())
         jobs.append((f"factorize_sgd.single.i{SINGLE_ITERS}", single_row_factory(), {"iterations": SINGLE_ITERS}))
         jobs.append((f"draw_ensemble.t{DRAW_TRIALS}", draw_row, {"trials": DRAW_TRIALS}))
+        jobs.append((f"build_dataset.n{DATASET_SIZE}", dataset_row, {"samples": DATASET_SIZE}))
         jobs.append((f"mlp_train.s{TRAIN_STEPS}", train_row_factory(), {"steps": TRAIN_STEPS, "batch": 20}))
         jobs.append((f"cli_ber.t{CLI_TRIALS}", cli_row_factory(Path(tmp)), {"config": "configs/ber.cfg"}))
         for name, fn, info in jobs:

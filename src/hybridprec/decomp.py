@@ -16,7 +16,13 @@ import numpy as np
 
 
 class RankDeficiencyError(ValueError):
-    """The input does not have enough strictly positive singular values."""
+    """The input does not have enough strictly positive singular values.
+
+    When :func:`gmd` raises it, ``index`` is the position of the first
+    deficient matrix in the stack (0 for a single matrix).
+    """
+
+    index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -168,9 +174,9 @@ def gmd(m: np.ndarray, ns: int) -> GmdFactors:
     w1 @ q1 @ r1^H equals the rank-ns SVD truncation of m; the diagonal of q1
     is real, positive, and constant at the geometric mean of the ns largest
     singular values. Raises RankDeficiencyError when sigma_ns is numerically
-    zero relative to sigma_1. ``m`` may be a (b, nr, nt) stack: one batched
-    SVD, then the rotations of all b matrices at once; a single matrix is a
-    batch of one.
+    zero relative to sigma_1, naming the first such matrix of a stack in its
+    ``index``. ``m`` may be a (b, nr, nt) stack: one batched SVD, then the
+    rotations of all b matrices at once; a single matrix is a batch of one.
     """
     m = np.asarray(m)
     if m.ndim not in (2, 3):
@@ -185,9 +191,11 @@ def gmd(m: np.ndarray, ns: int) -> GmdFactors:
     if deficient.size:
         j = deficient[0]
         where = f" (matrix {j} of the stack)" if m.ndim == 3 else ""
-        raise RankDeficiencyError(
+        error = RankDeficiencyError(
             f"rank below ns={ns}{where}: sigma_ns={sigma[j, ns - 1]:.3e} vs sigma_1={sigma[j, 0]:.3e}"
         )
+        error.index = int(j)
+        raise error
     w1, q1, r1, sigma_bar = gmd_from_svd(u, sigma, np.conj(np.swapaxes(vh, 1, 2)), ns)
     if m.ndim == 2:
         return GmdFactors(w1=w1[0], q1=q1[0], r1=r1[0], sigma_bar=float(sigma_bar[0]))

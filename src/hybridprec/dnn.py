@@ -186,9 +186,15 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def clamp_activation(x: np.ndarray, ns: float) -> np.ndarray:
     """Elementwise min(max(x, 0), ns): the power-constraint box on the output."""
+    return _clamp(x, ns)
+
+
+def _clamp(x: np.ndarray, ns: float, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`clamp_activation`, written into ``out`` when given (``out=x`` clamps in place)."""
     if ns < 1:
         raise ValueError(f"ns must be >= 1, got {ns}")
-    return np.minimum(np.maximum(x, 0.0), float(ns))
+    y = np.maximum(x, 0.0, out=out)
+    return np.minimum(y, float(ns), out=y)
 
 
 def noise_inject(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -200,11 +206,17 @@ def noise_inject(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.nd
     return x + rng.normal(0.0, sigma, size=x.shape)
 
 
-def _apply_activation(z: np.ndarray, spec: LayerSpec, clamp_max: float) -> np.ndarray:
+def _apply_activation(
+    z: np.ndarray, spec: LayerSpec, clamp_max: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The layer's activation of z, written into ``out`` when given (``out=z`` works in place).
+
+    ReLU keeps :func:`relu`'s argument order, so -0.0 maps to 0.0 as it does there.
+    """
     if spec.activation == "relu":
-        return relu(z)
+        return np.maximum(0.0, z, out=out)
     if spec.activation == "clamp":
-        return clamp_activation(z, clamp_max)
+        return _clamp(z, clamp_max, out)
     return z
 
 
@@ -218,8 +230,15 @@ def forward(
 
     ``v`` may be a single feature vector or a (batch, input_dim) matrix.
     Noise layers fire only in ``mode="train"`` (which then requires ``rng``);
-    inference is deterministic. The cache holds each layer's input and
-    pre-activation.
+    inference is deterministic.
+
+    The cache holds one ``(input, z)`` pair per layer, and each activation is
+    stored once: ``z`` is the layer's activation, computed in place over its
+    pre-activation, and it is also the next layer's input. Only a noise layer
+    in training mode keeps its pre-activation as ``z``, because its output
+    (activation plus noise) is a new array. :func:`backward` reads ``z``
+    through masks that are equal on either array: ``z > 0`` for ReLU and
+    ``0 < z < clamp_max`` for the clamp.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -232,11 +251,13 @@ def forward(
         raise ValueError("training mode with noise layers requires an rng")
     cache = []
     for spec, w, b in zip(net.specs, net.weights, net.biases):
-        z = x @ w + b
+        z = x @ w
+        z += b
         cache.append((x, z))
-        x = _apply_activation(z, spec, net.clamp_max)
         if mode == "train" and spec.noise_sigma > 0:
-            x = noise_inject(x, spec.noise_sigma, rng)
+            x = noise_inject(_apply_activation(z, spec, net.clamp_max), spec.noise_sigma, rng)
+        else:
+            x = _apply_activation(z, spec, net.clamp_max, out=z)
     out = x[0] if squeeze else x
     return out, cache
 
@@ -248,25 +269,38 @@ def backward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Reverse-mode gradients for every weight and bias.
 
-    ``grad_out`` is dLoss/d(output), shaped like the forward output. ReLU
-    takes subgradient 0 at 0; the clamp is flat outside (0, clamp_max); noise
-    injection passes gradients through unchanged.
+    ``grad_out`` is dLoss/d(output), shaped like the forward output, and is
+    never written to. ``cache`` is the one :func:`forward` returned: each
+    layer's input and its activation (or, for a noise layer in training
+    mode, its pre-activation); the masks below read the same on either.
+    ReLU takes subgradient 0 at 0; the clamp is flat outside (0, clamp_max);
+    noise injection passes gradients through unchanged.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     delta = grad_out.reshape(1, -1) if grad_out.ndim == 1 else grad_out
+    owned = False  # delta is the caller's array until a product replaces it
     d_weights = [np.empty(0)] * len(net.weights)
     d_biases = [np.empty(0)] * len(net.biases)
     for i in reversed(range(len(net.specs))):
         x_in, z = cache[i]
         spec = net.specs[i]
         if spec.activation == "relu":
-            delta = delta * (z > 0)
+            mask = z > 0
         elif spec.activation == "clamp":
-            delta = delta * ((z > 0) & (z < net.clamp_max))
+            mask = (z > 0) & (z < net.clamp_max)
+        else:
+            mask = None
+        if mask is not None:
+            if owned:
+                delta *= mask
+            else:
+                delta = delta * mask
+                owned = True
         d_weights[i] = x_in.T @ delta
         d_biases[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ net.weights[i].T
+            owned = True
     return d_weights, d_biases
 
 
@@ -335,26 +369,42 @@ def build_dataset(
 ) -> Dataset:
     """Draw channels, compute their GMD precoder targets and feature vectors.
 
-    Rank-deficient draws (possible only in pathological angle collisions) are
-    redrawn, up to 100 retries per sample. The trailing ``test_fraction`` of
-    samples is tagged as the test split.
+    Channels are drawn one after another from ``rng``; a rank-deficient draw
+    (possible only in pathological angle collisions) is skipped and the next
+    one taken, and 100 deficient draws in a row raise RankDeficiencyError.
+    The targets of all kept channels come from one batched :func:`gmd` call,
+    whose deficiency rule decides the skips: the first draw it rejects is
+    dropped, one more is drawn, and the stack goes through again. The
+    trailing ``test_fraction`` of samples is tagged as the test split.
     """
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
+    if size == 0:
+        return Dataset(samples=())
     n_test = int(round(size * test_fraction))
-    samples = []
-    for i in range(size):
-        for attempt in range(100):
-            ch = draw_channel(rng, nt=dims.nt, nr=dims.nr, p_nlos=dims.p_nlos, spacing_ratio=dims.spacing_ratio)
-            try:
-                target = gmd(ch.matrix, dims.ns).r1
-            except RankDeficiencyError:
-                continue
+    channels: list[ChannelRealization] = []  # the draws not rejected, in stream order
+    misses, last_miss = 0, -1
+    while True:
+        channels += [
+            draw_channel(rng, nt=dims.nt, nr=dims.nr, p_nlos=dims.p_nlos, spacing_ratio=dims.spacing_ratio)
+            for _ in range(size - len(channels))
+        ]
+        matrices = np.stack([ch.matrix for ch in channels])
+        try:
+            targets = gmd(matrices, dims.ns).r1
             break
-        else:
-            raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {i}")
-        split = "test" if i >= size - n_test else "train"
-        samples.append(Sample(features=feature_vector(ch), target=target, channel=ch, split=split))
+        except RankDeficiencyError as exc:
+            # the draw after a dropped one moves into its slot, so a miss in the
+            # same slot is the next draw in the stream
+            misses = misses + 1 if exc.index == last_miss else 1
+            if misses == 100:
+                raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {exc.index}") from exc
+            last_miss = exc.index
+            del channels[exc.index]
+    samples = (
+        Sample(features=f, target=t, channel=ch, split="test" if i >= size - n_test else "train")
+        for i, (f, t, ch) in enumerate(zip(feature_vector(matrices), targets, channels))
+    )
     return Dataset(samples=tuple(samples))
 
 
@@ -369,6 +419,8 @@ def _batch_loss_and_grad(
     codec = net.codec
     b = len(feats)
     out, cache = forward(net, feats, mode=mode, rng=rng)
+    if mode == "infer":
+        cache = None  # free the activations before the codec's temporaries pile on
     phases, digital = codec.decode(out)
     analog = np.exp(1j * phases) / np.sqrt(codec.nt)
     err = targets - analog @ digital

@@ -254,8 +254,11 @@ def factorization_gradient_batch(
     :func:`factorize_sgd_batch` and the DNN training gradient.
     """
     g_digital = -2.0 * (np.conj(np.swapaxes(analog, -1, -2)) @ err)
-    g_phases = 2.0 * np.imag(np.conj(err @ np.conj(np.swapaxes(digital, -1, -2))) * analog)
-    return g_phases, g_digital
+    # conj(err @ D^H) computed as conj(err) @ D^T: conjugation commutes exactly
+    # with the products and sums, and one temporary is updated in place
+    m = np.conj(err) @ np.swapaxes(digital, -1, -2)
+    m *= analog
+    return 2.0 * m.imag, g_digital
 
 
 # exp(j*v) = cos(v) + j*sin(v) by Taylor polynomials in v^2 (degree 8 and 9 in v);
@@ -355,7 +358,8 @@ def factorize_sgd_batch(
     depends on its batch. The analog stack is rotated in place by
     exp(j*step) between exact recomputations (module docstring), which keeps
     the losses within about 1e-13 relative of an exact-exp loop.
-    ``seeds[i]`` seeds instance i (default: cfg.seed + i).
+    ``seeds[i]`` seeds instance i (default: cfg.seed + i); a ``seeds`` whose
+    length is not b raises ValueError.
 
     Returns the power-normalized factors, the loss matrix (longest run + 1)
     x b, whose column i repeats instance i's final loss after its stop, and
@@ -379,6 +383,8 @@ def _momentum_sgd(
         raise ValueError(f"ns <= nt_rf <= nt must hold, got ns={ns}, nt_rf={nt_rf}, nt={nt}")
     if seeds is None:
         seeds = cfg.seed + np.arange(b)
+    elif len(seeds) != b:
+        raise ValueError(f"got {len(seeds)} seeds for {b} instances")
     phases = np.empty((b, nt, nt_rf))
     digital = np.empty((b, nt_rf, ns), dtype=complex)
     for i, seed in enumerate(seeds):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hybridprec.dnn as dnn_module
 from hybridprec.channel import draw_channel
+from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.dnn import (
     LayerSpec,
     PrecoderCodec,
@@ -175,6 +178,105 @@ class TestBackward:
         assert np.all(d_weights[0] == 0)
 
 
+def reference_forward_backward(net, x, grad_out, mode, rng):
+    """Forward and backward as first written: the cache keeps every layer's
+    pre-activation next to a separate activation array."""
+    cache = []
+    for spec, w, b in zip(net.specs, net.weights, net.biases):
+        z = x @ w + b
+        cache.append((x, z))
+        if spec.activation == "relu":
+            x = relu(z)
+        elif spec.activation == "clamp":
+            x = clamp_activation(z, net.clamp_max)
+        else:
+            x = z
+        if mode == "train" and spec.noise_sigma > 0:
+            x = noise_inject(x, spec.noise_sigma, rng)
+    delta = grad_out
+    d_weights, d_biases = [None] * len(net.specs), [None] * len(net.specs)
+    for i in reversed(range(len(net.specs))):
+        x_in, z = cache[i]
+        if net.specs[i].activation == "relu":
+            delta = delta * (z > 0)
+        elif net.specs[i].activation == "clamp":
+            delta = delta * ((z > 0) & (z < net.clamp_max))
+        d_weights[i] = x_in.T @ delta
+        d_biases[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ net.weights[i].T
+    return x, d_weights, d_biases
+
+
+class TestSingleActivationCopy:
+    """forward caches each activation once, and backward's gradients do not change."""
+
+    def net(self):
+        net = build_mlp(
+            6,
+            [
+                LayerSpec(9, "relu"),
+                LayerSpec(8, "relu", noise_sigma=0.3),
+                LayerSpec(7, "linear"),
+                LayerSpec(5, "clamp"),
+            ],
+            clamp_max=2.0,
+            seed=3,
+        )
+        # units whose pre-activation is exactly 0 (relu and clamp) or exactly clamp_max
+        net.weights[0][:, 0] = 0.0
+        net.weights[3][:, :2] = 0.0
+        net.biases[3][:2] = (0.0, 2.0)
+        return net
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_gradients_bit_equal_to_separate_pre_activations(self, mode):
+        net = self.net()
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40, 6))
+        grad_out = rng.standard_normal((40, 5))
+        grad_before = grad_out.copy()
+        out, cache = forward(net, x, mode=mode, rng=np.random.default_rng(9))
+        _, z_clamp = cache[3]
+        assert np.all(z_clamp[:, 0] == 0.0) and np.all(z_clamp[:, 1] == 2.0)
+        assert np.any(cache[0][1][:, 0] == 0.0)
+        d_weights, d_biases = backward(net, cache, grad_out)
+        ref_out, ref_weights, ref_biases = reference_forward_backward(
+            net, x, grad_out, mode, np.random.default_rng(9)
+        )
+        np.testing.assert_array_equal(out, ref_out)
+        for got, want in zip(d_weights + d_biases, ref_weights + ref_biases):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(grad_out, grad_before)
+
+    def test_noise_layer_keeps_pre_activation_in_train_mode(self):
+        net = self.net()
+        x = np.random.default_rng(8).standard_normal((40, 6))
+        _, cache = forward(net, x, mode="train", rng=np.random.default_rng(9))
+        x_in, z = cache[1]
+        np.testing.assert_array_equal(z, x_in @ net.weights[1] + net.biases[1])
+        assert np.any(z < 0)
+        # every other layer's cached array is its activation, and the next layer's input
+        assert cache[0][1] is cache[1][0] and np.all(cache[0][1] >= 0)
+        assert cache[2][1] is cache[3][0]
+
+    def test_inference_forward_peaks_near_its_activations(self):
+        import tracemalloc
+
+        net = build_precoder_mlp(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), seed=0)
+        x = np.random.default_rng(0).standard_normal((500, net.input_dim))
+        forward(net, x[:2])
+        activation_bytes = 500 * sum(s.width for s in net.specs) * 8
+        tracemalloc.start()
+        try:
+            out, cache = forward(net, x, mode="infer")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(z.nbytes for _, z in cache) == activation_bytes
+        assert peak <= 1.1 * activation_bytes
+
+
 class TestSgdMomentumStep:
     def test_first_step_is_plain_descent(self):
         p = [np.array([1.0, 2.0])]
@@ -245,6 +347,76 @@ class TestDataset:
         data = build_dataset(self.dims, 10, np.random.default_rng(4), test_fraction=0.3)
         assert len(data.train_samples) == 7
         assert len(data.test_samples) == 3
+
+
+def deficient_draws(bad):
+    """draw_channel, except that the draws numbered in ``bad`` (counted from 0)
+    come back rank 1; every draw consumes the generator as a real one does."""
+    count = iter(range(10**6))
+
+    def draw(rng, **kwargs):
+        ch = draw_channel(rng, **kwargs)
+        if next(count) in bad:
+            return replace(ch, matrix=np.outer(ch.matrix[:, 0], ch.matrix[0]))
+        return ch
+
+    return draw
+
+
+def reference_dataset(dims, size, rng, draw, test_fraction=0.0):
+    """build_dataset as first written: one gmd call per draw, redrawing a rank-deficient one."""
+    n_test = int(round(size * test_fraction))
+    samples = []
+    for i in range(size):
+        for _ in range(100):
+            ch = draw(rng, nt=dims.nt, nr=dims.nr, p_nlos=dims.p_nlos, spacing_ratio=dims.spacing_ratio)
+            try:
+                target = gmd(ch.matrix, dims.ns).r1
+            except RankDeficiencyError:
+                continue
+            break
+        else:
+            raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {i}")
+        split = "test" if i >= size - n_test else "train"
+        samples.append((feature_vector(ch), target, ch, split))
+    return samples
+
+
+class TestBatchedDatasetTargets:
+    dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
+
+    def build(self, monkeypatch, size, bad, test_fraction=0.0):
+        calls = []
+
+        def counted_gmd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return gmd(*args, **kwargs)
+
+        monkeypatch.setattr(dnn_module, "draw_channel", deficient_draws(bad))
+        monkeypatch.setattr(dnn_module, "gmd", counted_gmd)
+        rng = np.random.default_rng(31)
+        return build_dataset(self.dims, size, rng, test_fraction), rng, calls
+
+    # the last case: 99 deficient draws in a row, one full-rank draw, then one more deficient
+    @pytest.mark.parametrize("bad", [set(), {0, 3, 4, 11}, {1, 2, 12, 13}, set(range(2, 101)) | {102}])
+    def test_matches_per_draw_reference(self, monkeypatch, bad):
+        data, rng, calls = self.build(monkeypatch, 12, bad, test_fraction=0.25)
+        ref_rng = np.random.default_rng(31)
+        ref = reference_dataset(self.dims, 12, ref_rng, deficient_draws(bad), test_fraction=0.25)
+        assert len(data) == len(ref) == 12
+        for s, (features, target, ch, split) in zip(data.samples, ref):
+            np.testing.assert_array_equal(s.channel.matrix, ch.matrix)
+            assert s.channel.paths == ch.paths
+            np.testing.assert_array_equal(s.target, target)
+            np.testing.assert_array_equal(s.features, features)
+            assert s.split == split
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if not bad:
+            assert calls == [(12, self.dims.nr, self.dims.nt)]
+
+    def test_hundred_deficient_draws_in_a_row_raise(self, monkeypatch):
+        with pytest.raises(RankDeficiencyError, match="in 100 draws for sample 2"):
+            self.build(monkeypatch, 5, set(range(2, 102)))
 
 
 class TestTrain:

@@ -396,6 +396,14 @@ class TestFactorizeSgdBatch:
             scale = np.linalg.norm(factors[i].digital) / np.linalg.norm(digital0)
             np.testing.assert_allclose(factors[i].digital, digital0 * scale, atol=1e-12)
 
+    @pytest.mark.parametrize("n_seeds", [1, 2, 4])
+    def test_seed_count_must_match_batch(self, n_seeds):
+        # too few seeds would leave instances without a start, too many have no instance
+        targets = np.stack([representable_target(8, 4, 2, seed=s) for s in (1, 2, 3)])
+        cfg = FactorizeConfig(learning_rate=0.01, max_iters=5, tolerance=0.0, seed=0)
+        with pytest.raises(ValueError, match=f"got {n_seeds} seeds for 3 instances"):
+            factorize_sgd_batch(targets, 4, cfg, seeds=list(range(n_seeds)))
+
 
 def exact_exp_reference(r1_stack, nt_rf, cfg, seeds):
     """The batched momentum-SGD loop with analog = exp(j*phases)/sqrt(nt) recomputed every iteration."""
