@@ -18,7 +18,8 @@ Every row is the median of ``--repeats`` timed runs, measured with
   criterion 4 and ``complexity-bench`` time;
 - ``draw_ensemble.t20000``: channels, SVD and GMD of 20000 trials;
 - ``build_dataset.n500``: the MLP training set of 500 channels: draws, GMD
-  targets and feature vectors;
+  targets and feature vectors (trees before the dataset stream took a
+  generator instead of a seed, and get ``default_rng(1)``);
 - ``mlp_train.s1500``: 1500 training steps of the precoder MLP, batch 20, on
   500 channels (the dataset is built once, outside the timing);
 - ``cli_ber.t2000``: ``hybridprec ber`` on ``configs/ber.cfg`` at
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -127,12 +129,18 @@ def draw_row():
     return timed(lambda: draw_ensemble(DIMS, DRAW_TRIALS, seed=1, point=0))
 
 
+def training_set():
+    if "rng" in inspect.signature(build_dataset).parameters:
+        return build_dataset(DIMS, DATASET_SIZE, np.random.default_rng(1))
+    return build_dataset(DIMS, DATASET_SIZE, 1)
+
+
 def dataset_row():
-    return timed(lambda: build_dataset(DIMS, DATASET_SIZE, np.random.default_rng(1)))
+    return timed(training_set)
 
 
 def train_row_factory():
-    data = build_dataset(DIMS, DATASET_SIZE, np.random.default_rng(1))
+    data = training_set()
     cfg = FactorizeConfig(learning_rate=0.003, max_iters=TRAIN_STEPS, tolerance=0.0, batch=20, seed=1)
 
     def run():

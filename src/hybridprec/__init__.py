@@ -7,9 +7,8 @@ for BER, spectral-efficiency and MSE-convergence curves.
 """
 
 from hybridprec.channel import (
-    ChannelRealization,
-    PathParams,
-    draw_channel,
+    DATASET_STREAM,
+    draw_channels,
     generate_channel,
     sample_path_params,
     steering_vector,

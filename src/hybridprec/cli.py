@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 import hybridprec
-from hybridprec.channel import draw_channel
+from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import gmd
 from hybridprec.dnn import build_dataset, build_precoder_mlp, load_mlp, save_mlp, train
 from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd
@@ -212,6 +212,16 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {cfg.threads}")
+    if not cfg.spacing_ratio > 0:
+        raise ConfigError(f"{at('spacing_ratio')}spacing_ratio must be > 0, got {cfg.spacing_ratio}")
+    if cfg.noise_sigma < 0:
+        raise ConfigError(f"{at('noise_sigma')}noise_sigma must be >= 0, got {cfg.noise_sigma}")
+    if cfg.bench_repeats < 1:
+        # no timed repeat leaves every median undefined
+        raise ConfigError(f"{at('bench_repeats')}bench_repeats must be >= 1, got {cfg.bench_repeats}")
+    trains = cfg.kind == "train" or (cfg.kind in ("ber", "se") and "dnn_hybrid" in cfg.schemes and not cfg.model)
+    if trains and cfg.train_size < 1:
+        raise ConfigError(f"{at('train_size')}a run that trains needs train_size >= 1, got {cfg.train_size}")
     if cfg.kind in ("ber", "se", "mse") and not cfg.schemes:
         raise ConfigError(f"{at('schemes')}{cfg.kind} requires a non-empty schemes list")
     if cfg.kind in ("ber", "se"):
@@ -288,14 +298,13 @@ def _train_model(cfg: ExperimentConfig, stages: dict):
     ``training`` block.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
-    data = build_dataset(cfg.dims(), cfg.train_size, rng)
+    data = build_dataset(cfg.dims(), cfg.train_size, cfg.seed)
     t1 = time.perf_counter()
     net = build_precoder_mlp(cfg.dims(), seed=cfg.seed, noise_sigma=cfg.noise_sigma)
     net, history = train(net, data, cfg.factorize_config())
     stages.update(dataset=t1 - t0, train=time.perf_counter() - t1)
     # train stops only at an epoch's end or at max_iters
-    steps_per_epoch = -(-len(data.train_samples) // cfg.batch_size)
+    steps_per_epoch = -(-data.n_train // cfg.batch_size)
     training = {
         "epochs": len(history),
         "steps": min(cfg.max_iters, len(history) * steps_per_epoch),
@@ -363,11 +372,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
             outputs.append(csv_path)
             outputs.append(emit_plot_script(csv_path))
         elif cfg.kind == "mse":
-            rng = np.random.default_rng(cfg.seed)
-            channels = [
-                draw_channel(rng, cfg.nt, cfg.nr, cfg.p_nlos, cfg.spacing_ratio)
-                for _ in range(cfg.trials)
-            ]
+            channels = draw_channels(cfg.dims(), cfg.trials, cfg.seed, DATASET_STREAM)
             rows = []
             for method in cfg.schemes:
                 curve = mse_vs_iterations(method, channels, cfg.dims(), cfg.factorize_config())
@@ -475,9 +480,8 @@ def _run_complexity_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
     rows = []
     medians = []
     for nt in cfg.nt_sweep:
-        rng = np.random.default_rng(cfg.seed)
-        ch = draw_channel(rng, nt, cfg.nr, cfg.p_nlos, cfg.spacing_ratio)
-        r1 = gmd(ch.matrix, cfg.ns).r1
+        h = draw_channels(replace(cfg.dims(), nt=nt), 1, cfg.seed, DATASET_STREAM)[0]
+        r1 = gmd(h, cfg.ns).r1
         times = []
         for _ in range(cfg.bench_repeats):
             t0 = time.perf_counter()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hybridprec.channel import ChannelRealization, draw_channel
+from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.precoder import (
     FactorizeConfig,
@@ -324,88 +324,71 @@ def sgd_momentum_step(
     return params, velocities
 
 
-def feature_vector(h: ChannelRealization | np.ndarray) -> np.ndarray:
+def feature_vector(h: np.ndarray) -> np.ndarray:
     """Concatenated real and imaginary channel entries, scaled to unit RMS.
 
-    ``h`` is one channel, or a (b, nr, nt) stack of channel matrices, which
+    ``h`` is one (nr, nt) channel, or a (b, nr, nt) stack of channels, which
     gives one feature row per channel.
     """
-    m = h.matrix if isinstance(h, ChannelRealization) else np.asarray(h)
-    lead = m.shape[:-2]
-    flat = np.concatenate([m.real.reshape(lead + (-1,)), m.imag.reshape(lead + (-1,))], axis=-1)
+    m = np.asarray(h)
+    flat_shape = m.shape[:-2] + (m.shape[-2] * m.shape[-1],)
+    flat = np.concatenate([m.real.reshape(flat_shape), m.imag.reshape(flat_shape)], axis=-1)
     rms = np.sqrt(np.mean(flat**2, axis=-1, keepdims=True))
     return flat / rms
 
 
 @dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    target: np.ndarray
-    channel: ChannelRealization
-    split: str = "train"
-
-
-@dataclass(frozen=True)
 class Dataset:
-    samples: tuple[Sample, ...]
+    """Training set as arrays; row k is sample k, and the last ``n_test`` rows are the test split."""
+
+    features: np.ndarray  # (n, 2 nt nr) network inputs
+    targets: np.ndarray  # (n, nt, ns) GMD precoder targets
+    channels: np.ndarray  # (n, nr, nt) channel matrices
+    indices: np.ndarray  # (n,) indices of the channels in the dataset stream
+    n_test: int = 0
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.indices)
 
     @property
-    def train_samples(self) -> tuple[Sample, ...]:
-        return tuple(s for s in self.samples if s.split == "train")
-
-    @property
-    def test_samples(self) -> tuple[Sample, ...]:
-        return tuple(s for s in self.samples if s.split == "test")
+    def n_train(self) -> int:
+        return len(self) - self.n_test
 
 
-def build_dataset(
-    dims: SystemDims,
-    size: int,
-    rng: np.random.Generator,
-    test_fraction: float = 0.0,
-) -> Dataset:
-    """Draw channels, compute their GMD precoder targets and feature vectors.
+def build_dataset(dims: SystemDims, size: int, seed: int, test_fraction: float = 0.0) -> Dataset:
+    """Channels of the dataset stream with their GMD precoder targets and feature vectors.
 
-    Channels are drawn one after another from ``rng``; a rank-deficient draw
-    (possible only in pathological angle collisions) is skipped and the next
-    one taken, and 100 deficient draws in a row raise RankDeficiencyError.
-    The targets of all kept channels come from one batched :func:`gmd` call,
-    whose deficiency rule decides the skips: the first draw it rejects is
-    dropped, one more is drawn, and the stack goes through again. The
-    trailing ``test_fraction`` of samples is tagged as the test split.
+    Sample k is the k-th full-rank channel of stream ``DATASET_STREAM`` at
+    ``seed``: a rank-deficient index (possible only in pathological angle
+    collisions) is skipped, and 100 deficient indices in a row raise
+    RankDeficiencyError. The targets come from one batched :func:`gmd`
+    call, whose deficiency rule decides the skips: the first index it
+    rejects is dropped, the next unread index joins the end of the stack,
+    and the stack goes through again. The trailing ``test_fraction`` of
+    samples is the test split.
     """
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    if size == 0:
-        return Dataset(samples=())
-    n_test = int(round(size * test_fraction))
-    channels: list[ChannelRealization] = []  # the draws not rejected, in stream order
+    indices = np.arange(size)
+    channels = draw_channels(dims, size, seed, DATASET_STREAM)
     misses, last_miss = 0, -1
     while True:
-        channels += [
-            draw_channel(rng, nt=dims.nt, nr=dims.nr, p_nlos=dims.p_nlos, spacing_ratio=dims.spacing_ratio)
-            for _ in range(size - len(channels))
-        ]
-        matrices = np.stack([ch.matrix for ch in channels])
         try:
-            targets = gmd(matrices, dims.ns).r1
+            targets = gmd(channels, dims.ns).r1
             break
         except RankDeficiencyError as exc:
-            # the draw after a dropped one moves into its slot, so a miss in the
-            # same slot is the next draw in the stream
+            # the indices after a dropped one are consecutive, so a miss in
+            # the same slot is the next index of the stream
             misses = misses + 1 if exc.index == last_miss else 1
             if misses == 100:
                 raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {exc.index}") from exc
             last_miss = exc.index
-            del channels[exc.index]
-    samples = (
-        Sample(features=f, target=t, channel=ch, split="test" if i >= size - n_test else "train")
-        for i, (f, t, ch) in enumerate(zip(feature_vector(matrices), targets, channels))
-    )
-    return Dataset(samples=tuple(samples))
+            nxt = indices[-1] + 1
+            indices = np.append(np.delete(indices, exc.index), nxt)
+            channels = np.concatenate(
+                [np.delete(channels, exc.index, axis=0), draw_channels(dims, 1, seed, DATASET_STREAM, start=nxt)]
+            )
+    return Dataset(feature_vector(channels), targets, channels, indices, int(round(size * test_fraction)))
 
 
 def _batch_loss_and_grad(
@@ -453,11 +436,10 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     """
     if net.codec is None:
         raise ValueError("training requires a network built with a precoder codec")
-    train_split = data.train_samples
-    if not train_split:
+    if data.n_train < 1:
         raise ValueError("dataset has no training samples")
-    feats = np.stack([s.features for s in train_split])
-    targets = np.stack([s.target for s in train_split])
+    feats = data.features[: data.n_train]
+    targets = data.targets[: data.n_train]
     rng = np.random.default_rng(cfg.seed)
     history = []
     steps = 0
@@ -485,10 +467,10 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     return net, np.asarray(history)
 
 
-def infer_precoders(net: Mlp, h: ChannelRealization | np.ndarray) -> HybridFactors:
+def infer_precoders(net: Mlp, h: np.ndarray) -> HybridFactors:
     """One forward pass, decoded into power-normalized factors.
 
-    ``h`` is one channel, or a (b, nr, nt) stack of channel matrices, which
+    ``h`` is one (nr, nt) channel, or a (b, nr, nt) stack of channels, which
     gives stacked (b, nt, nt_rf) analog and (b, nt_rf, ns) digital factors.
     """
     if net.codec is None:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hybridprec.channel import ChannelRealization
 from hybridprec.decomp import GmdFactors, RankDeficiencyError, gmd, svd
 
 
@@ -124,17 +123,17 @@ class FactorizeResult:
     power_scale: float = 1.0
 
 
-def fully_digital_gmd(h: ChannelRealization, ns: int) -> GmdFactors:
-    """GMD precoder/combiner pair: W1^H H R1 equals the upper triangular Q1."""
-    return gmd(h.matrix, ns)
+def fully_digital_gmd(h: np.ndarray, ns: int) -> GmdFactors:
+    """GMD precoder/combiner pair of an (nr, nt) channel: W1^H H R1 equals the upper triangular Q1."""
+    return gmd(h, ns)
 
 
-def fully_digital_svd(h: ChannelRealization, ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-ns singular-vector precoder and combiner with the per-stream gains.
+def fully_digital_svd(h: np.ndarray, ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-ns singular-vector precoder and combiner of an (nr, nt) channel, with the per-stream gains.
 
     Returns (precoder, combiner, gains): combiner^H H precoder = diag(gains).
     """
-    factors = svd(h.matrix)
+    factors = svd(h)
     if ns < 1 or ns > factors.sigma.size:
         raise ValueError(f"ns must be in [1, {factors.sigma.size}], got {ns}")
     if factors.sigma[ns - 1] <= 1e-12 * factors.sigma[0]:

@@ -6,11 +6,10 @@ is total transmit power (ns) over per-antenna noise power. Hybrid schemes
 all use the GMD combiner W1 at the receiver so the precoder is the only
 varying factor. Detection is successive interference cancellation down the
 upper triangular effective channel. Every result is a deterministic
-function of (configuration, master seed): each grid point has its own
-Philox key, derived from (seed, point), and trial t reads a fixed-size block
-of counters at offset t times the block size. Its paths, bits, noise and
-factorization seed are therefore a pure function of (seed, point, t), so
-neither chunking nor thread count can change the numbers, and a shorter run
+function of (configuration, master seed): grid point p reads stream p of
+the Philox trial blocks of :mod:`hybridprec.channel`, so trial t's paths,
+bits, noise and factorization seed are a pure function of (seed, p, t).
+Neither chunking nor thread count can change the numbers, and a shorter run
 reproduces the first trials of a longer one.
 
 A BER or SE curve draws its ensemble once: the channels, their SVD/GMD and
@@ -29,9 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from hybridprec.channel import NLOS_GAIN_VAR, ChannelRealization
-# re-exported: perfbench/tracer.py wraps the name at this path
-from hybridprec.channel import sample_path_params  # noqa: F401
+from hybridprec.channel import _complex_normal, _trial_words, generate_channel, sample_path_params
 from hybridprec.decomp import RankDeficiencyError, gmd, gmd_from_svd
 from hybridprec.dnn import Mlp, infer_precoders
 from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd_batch, phase_projection_baseline
@@ -130,14 +127,14 @@ def qpsk_slice(z: np.ndarray) -> np.ndarray:
 
 
 def transmit(
-    h: ChannelRealization,
+    h: np.ndarray,
     precoder: np.ndarray,
     combiner: np.ndarray,
     s: np.ndarray,
     noise_sigma: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One use of the link: y = combiner^H H precoder s + combiner^H n.
+    """One use of the link: y = combiner^H H precoder s + combiner^H n, for an (nr, nt) channel H.
 
     The noise n is CN(0, noise_sigma^2 I) on the receive antennas. Raises
     when the precoder violates the transmit power budget trace(DD^H) <= ns.
@@ -146,12 +143,13 @@ def transmit(
     power = float(np.linalg.norm(precoder) ** 2)
     if power > ns + 1e-9:
         raise ValueError(f"precoder power {power:.6f} exceeds budget ns={ns}")
+    nr = h.shape[0]
     noise = (
-        noise_sigma * (rng.standard_normal(h.nr) + 1j * rng.standard_normal(h.nr)) / np.sqrt(2.0)
+        noise_sigma * (rng.standard_normal(nr) + 1j * rng.standard_normal(nr)) / np.sqrt(2.0)
         if noise_sigma > 0
-        else np.zeros(h.nr)
+        else np.zeros(nr)
     )
-    return combiner.conj().T @ (h.matrix @ (precoder @ s) + noise)
+    return combiner.conj().T @ (h @ (precoder @ s) + noise)
 
 
 def sic_detect(q1: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -195,58 +193,9 @@ class PointEnsemble:
     factor_seeds: np.ndarray  # (b,) uint64 seeds of the factorization starts
 
 
-def _uniform(words: np.ndarray) -> np.ndarray:
-    """Uniforms on [0, 1) from the top 53 bits of raw 64-bit words."""
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
-def _complex_normal(radius_words: np.ndarray, phase_words: np.ndarray) -> np.ndarray:
-    """Unit-variance circular complex Gaussians by Box-Muller, one per word pair."""
-    return np.sqrt(-np.log(1.0 - _uniform(radius_words))) * np.exp(2j * np.pi * _uniform(phase_words))
-
-
-def _trial_words(dims: SystemDims, seed: int, point: int, lo: int, hi: int) -> list[np.ndarray]:
-    """Raw 64-bit words of trials lo..hi-1 of one grid point, split by field.
-
-    Trial t reads its own block of Philox counters, at offset t times the
-    block size, under a key derived from (seed, point). The block holds per
-    path a gain (two words, Box-Muller), an AoD and an AoA; one word per
-    payload bit; two words per receive antenna for the noise; and one
-    factorization seed. Returns those eight (b, width) fields in that order.
-    """
-    n_paths = dims.p_nlos + 1
-    widths = (n_paths, n_paths, n_paths, n_paths, 2 * dims.ns, dims.nr, dims.nr, 1)
-    blocks = -(-sum(widths) // 4)  # Philox4x64 yields four words per counter
-    key = np.random.SeedSequence(seed, spawn_key=(point,)).generate_state(2, np.uint64)
-    words = np.random.Philox(key=key, counter=lo * blocks).random_raw((hi - lo) * 4 * blocks)
-    words = words.reshape(hi - lo, 4 * blocks)[:, : sum(widths)]
-    return np.split(words, np.cumsum(widths)[:-1], axis=1)
-
-
 def _payload(bits: np.ndarray, noise_r: np.ndarray, noise_phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QPSK bits (top bit of each word) and unit complex noise from their words."""
     return (bits >> np.uint64(63)).astype(np.int64), _complex_normal(noise_r, noise_phase)
-
-
-def _draw_trials(dims: SystemDims, seed: int, point: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """Random draws of trials lo..hi-1 of one grid point, with fixed consumption.
-
-    Decodes the blocks of :func:`_trial_words`. Returns (gains (b, P), aod
-    (b, P), aoa (b, P), bits (b, 2 ns), noise (b, nr), factor_seeds (b,))
-    with P = p_nlos + 1 paths, LoS first; angles are uniform on
-    [-pi/2, pi/2).
-    """
-    gain_r, gain_phase, aod, aoa, bits, noise_r, noise_phase, factor_seeds = _trial_words(
-        dims, seed, point, lo, hi
-    )
-    gain_std = np.sqrt(np.r_[1.0, np.full(dims.p_nlos, NLOS_GAIN_VAR)])
-    return (
-        _complex_normal(gain_r, gain_phase) * gain_std,
-        np.pi * (_uniform(aod) - 0.5),
-        np.pi * (_uniform(aoa) - 0.5),
-        *_payload(bits, noise_r, noise_phase),
-        factor_seeds[:, 0],
-    )
 
 
 def _map_chunks(build, trials: int, threads: int) -> list:
@@ -263,29 +212,23 @@ def draw_ensemble(
 ) -> PointEnsemble:
     """Draw ``trials`` channels with their SVD and GMD factors, batched.
 
-    Chunks of ``_SETUP_CHUNK`` trials run on ``threads`` workers; a chunk
-    only sets the counter offset of :func:`_draw_trials`, so the ensemble is
-    the same for every thread count, and its first trials equal a shorter
-    draw at the same (seed, point).
+    The channels are stream ``point`` of the Philox trial blocks. Chunks of
+    ``_SETUP_CHUNK`` trials run on ``threads`` workers; a chunk only sets
+    the counter offset, so the ensemble is the same for every thread count,
+    and its first trials equal a shorter draw at the same (seed, point).
     """
-    kt = np.arange(dims.nt)
-    kr = np.arange(dims.nr)
-    scale = np.sqrt(dims.nt * dims.nr / (dims.p_nlos + 1))
 
     def build_chunk(lo: int) -> PointEnsemble:
-        gains, aod, aoa, bits, noise, factor_seeds = _draw_trials(
-            dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials)
-        )
-        # batched steering outer products, same formula as generate_channel
-        a_t = np.exp(-2j * np.pi * dims.spacing_ratio * np.sin(aod)[..., None] * kt) / np.sqrt(dims.nt)
-        a_r = np.exp(-2j * np.pi * dims.spacing_ratio * np.sin(aoa)[..., None] * kr) / np.sqrt(dims.nr)
-        h = scale * np.einsum("bp,bpr,bpt->brt", gains, a_r, a_t.conj())
+        words = _trial_words(dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials))
+        gains, aod, aoa = sample_path_params(words)
+        h = generate_channel(gains, aod, aoa, dims.nt, dims.nr, dims.spacing_ratio)
         u, s, vh = np.linalg.svd(h, full_matrices=False)
         if np.any(s[:, dims.ns - 1] <= 1e-12 * s[:, 0]):
             raise RankDeficiencyError(f"rank-deficient channel draw at point {point}")
         v = np.conj(np.swapaxes(vh, 1, 2))
         w1, q1, r1, _ = gmd_from_svd(u, s, v, dims.ns)
-        return PointEnsemble(h, u, s, v, w1, q1, r1, bits, noise, factor_seeds)
+        bits, noise = _payload(*words[4:7])
+        return PointEnsemble(h, u, s, v, w1, q1, r1, bits, noise, words[7][:, 0])
 
     parts = _map_chunks(build_chunk, trials, threads)
     if len(parts) == 1:
@@ -414,7 +357,7 @@ def ber_curve(
 
 
 def spectral_efficiency(
-    h: ChannelRealization | np.ndarray,
+    h: np.ndarray,
     precoder: np.ndarray,
     combiner: np.ndarray,
     snr_db: float,
@@ -427,9 +370,8 @@ def spectral_efficiency(
     (b, nr, nt) stack of channel matrices with (b, nt, ns) precoders and
     (b, nr, ns) combiners, which gives the b rates as an array.
     """
-    matrices = h.matrix if isinstance(h, ChannelRealization) else np.asarray(h)
     comb_h = np.conj(np.swapaxes(combiner, -1, -2))
-    heff = comb_h @ matrices @ precoder
+    heff = comb_h @ np.asarray(h) @ precoder
     ns = precoder.shape[-1]
     sigma2 = ns * 10.0 ** (-snr_db / 10.0)
     rn = sigma2 * (comb_h @ combiner)
@@ -478,11 +420,11 @@ def se_curve(
 
 def mse_vs_iterations(
     method: str,
-    channels: list[ChannelRealization],
+    channels: np.ndarray,
     dims: SystemDims,
     cfg: FactorizeConfig,
 ) -> MseCurve:
-    """Factorization MSE per iteration, averaged over a channel set.
+    """Factorization MSE per iteration, averaged over a (b, nr, nt) channel stack.
 
     ``method`` is "sgd_hybrid" (joint phase/digital updates) or
     "analog_only" (digital part frozen at its initialization, phases only,
@@ -495,7 +437,7 @@ def mse_vs_iterations(
     """
     if method not in MSE_METHODS:
         raise ValueError(f"method must be one of {MSE_METHODS}, got {method!r}")
-    targets = gmd(np.stack([ch.matrix for ch in channels]), dims.ns).r1
+    targets = gmd(channels, dims.ns).r1
     _, trace, _ = factorize_sgd_batch(
         targets,
         dims.nt_rf,

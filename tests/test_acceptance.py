@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from hybridprec.channel import draw_channel
+from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.cli import parse_config, run_experiment
 from hybridprec.decomp import gmd
 from hybridprec.dnn import (
@@ -185,9 +185,8 @@ def test_criterion_4_factorization_quality():
     """50-seed median beats phase projection; exact instances converge below 1e-6."""
     t0 = time.perf_counter()
     sgd_losses, base_losses = [], []
-    for seed in range(50):
-        ch = draw_channel(np.random.default_rng(seed), DIMS.nt, DIMS.nr, DIMS.p_nlos)
-        r1 = gmd(ch.matrix, DIMS.ns).r1
+    for seed, h in enumerate(draw_channels(DIMS, 50, 0, DATASET_STREAM)):
+        r1 = gmd(h, DIMS.ns).r1
         base_losses.append(hybrid_loss(r1, phase_projection_baseline(r1)))
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=1500, tolerance=0.0, seed=seed)
         sgd_losses.append(factorize_sgd(r1, DIMS.nt_rf, cfg).loss_trace[-1])
@@ -217,25 +216,20 @@ def test_criterion_4_factorization_quality():
 def test_criterion_5_constraint_enforcement():
     """Every emitted hybrid factor meets the modulus and trace power constraints."""
     emitted: list[tuple[str, HybridFactors]] = []
-    rng = np.random.default_rng(5)
-    for seed in range(5):
-        ch = draw_channel(np.random.default_rng(seed), DIMS.nt, DIMS.nr, DIMS.p_nlos)
-        r1 = gmd(ch.matrix, DIMS.ns).r1
+    for seed, h in enumerate(draw_channels(DIMS, 5, 0, DATASET_STREAM)):
+        r1 = gmd(h, DIMS.ns).r1
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=300, tolerance=0.0, seed=seed)
         emitted.append(("factorize_sgd", factorize_sgd(r1, DIMS.nt_rf, cfg).factors))
         emitted.append(("phase_projection", phase_projection_baseline(r1)))
-    targets = np.stack(
-        [gmd(draw_channel(rng, 16, 8, 3).matrix, 2).r1 for _ in range(8)]
-    )
+    targets = gmd(draw_channels(DIMS, 8, 5, DATASET_STREAM), 2).r1
     batch_factors, _, _ = factorize_sgd_batch(
         targets, 4, FactorizeConfig(learning_rate=0.02, max_iters=200, tolerance=0.0, seed=0)
     )
     emitted.extend(("factorize_sgd_batch", f) for f in batch_factors)
     small = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
     net = build_precoder_mlp(small, seed=1)
-    for i in range(5):
-        ch = draw_channel(np.random.default_rng(50 + i), 8, 4, 3)
-        emitted.append(("dnn_infer", infer_precoders(net, ch)))
+    for h in draw_channels(small, 5, 50, DATASET_STREAM):
+        emitted.append(("dnn_infer", infer_precoders(net, h)))
     worst_modulus = 0.0
     worst_power = 0.0
     for _, hf in emitted:
@@ -263,7 +257,7 @@ def test_criterion_6_ber_sanity_suite():
 
     # a quickly trained network; the anchor check needs valid factors, not a good net
     train_dims = DIMS
-    data = build_dataset(train_dims, 200, np.random.default_rng(60))
+    data = build_dataset(train_dims, 200, 60)
     net = build_precoder_mlp(train_dims, seed=2)
     net, _ = train(
         net, data, FactorizeConfig(learning_rate=0.003, max_iters=1500, tolerance=0.0, batch=20, seed=3)
@@ -340,7 +334,7 @@ def test_criterion_8_mse_convergence():
     """Joint updates settle to their floor sooner than the analog-only variant."""
     joint_iters, analog_iters = [], []
     for seed in range(20):
-        chans = [draw_channel(np.random.default_rng(seed * 100 + i), 16, 8, 3) for i in range(8)]
+        chans = draw_channels(DIMS, 8, seed, DATASET_STREAM)
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=1500, tolerance=0.0, seed=seed)
         joint = mse_vs_iterations("sgd_hybrid", chans, DIMS, cfg)
         analog = mse_vs_iterations("analog_only", chans, DIMS, cfg)
@@ -383,14 +377,14 @@ def test_criterion_9_complexity_trend(tmp_path):
 def test_criterion_10_dnn_overfit_and_sweeps():
     """Single-sample overfit below 0.05 within 2000 iterations; sweeps stay finite."""
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
-    data1 = build_dataset(dims, 1, np.random.default_rng(42))
+    data1 = build_dataset(dims, 1, 42)
     net = build_precoder_mlp(dims, seed=1)
     net, history = train(
         net, data1, FactorizeConfig(learning_rate=0.01, max_iters=2000, tolerance=0.0, batch=1, seed=2)
     )
     overfit_ok = bool(history.min() < 0.05)
 
-    data = build_dataset(dims, 120, np.random.default_rng(43))
+    data = build_dataset(dims, 120, 43)
     finite = {}
     for batch in (10, 20, 50, 100):
         n = build_precoder_mlp(dims, seed=3)

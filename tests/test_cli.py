@@ -105,6 +105,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line 2: {kind} requires a non-empty schemes list"):
             parse_config(write_config(tmp_path, "seed = 1\nschemes =\n"), kind=kind)
 
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("ber", "seed = 1\nspacing_ratio = 0\n", "spacing_ratio must be > 0"),
+            ("mse", "seed = 1\nspacing_ratio = -0.5\n", "spacing_ratio must be > 0"),
+            ("complexity-bench", "seed = 1\nbench_repeats = 0\n", "bench_repeats must be >= 1"),
+            ("train", "seed = 1\ntrain_size = 0\n", "train_size >= 1"),
+            ("se", "schemes = dnn_hybrid\ntrain_size = 0\n", "train_size >= 1"),
+            ("train", "seed = 1\nnoise_sigma = -0.1\n", "noise_sigma must be >= 0"),
+        ],
+    )
+    def test_bad_value_rejected_with_line_number(self, tmp_path, kind, text, message):
+        with pytest.raises(ConfigError, match=f"line 2: .*{message}"):
+            parse_config(write_config(tmp_path, text), kind=kind)
+
+    def test_train_size_free_when_nothing_trains(self, tmp_path):
+        # a loaded model, or no dnn_hybrid at all, never builds a training set
+        text = "schemes = dnn_hybrid\nmodel = model.npz\ntrain_size = 0\n"
+        assert parse_config(write_config(tmp_path, text), kind="se").train_size == 0
+        assert parse_config(write_config(tmp_path, "train_size = 0\n"), kind="ber").train_size == 0
+
     def test_mse_scheme_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="mse schemes"):
             parse_config(

@@ -224,3 +224,54 @@ class TestBatchedRotations:
             for batched, single, scalar in zip((gl, q, gr), one, ref):
                 assert np.array_equal(batched[j], single[0])
                 assert np.array_equal(batched[j], scalar)
+
+
+@st.composite
+def gmd_stacks(draw):
+    """A (b, nr, nt) stack whose members have ranks between ns and min(nr, nt), plus ns.
+
+    With ``deficient``, member ``index`` and possibly later ones get rank ns - 1.
+    """
+    nr, nt = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    ns = draw(st.integers(1, min(nr, nt)))
+    b = draw(st.integers(1, 5))
+    ranks = draw(st.lists(st.integers(ns, min(nr, nt)), min_size=b, max_size=b))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nr, nt, ns, ranks, seed
+
+
+def stack_of_ranks(nr, nt, ranks, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_complex(rng, (nr, r)) @ random_complex(rng, (r, nt)) for r in ranks])
+
+
+class TestGmdProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gmd_stacks())
+    def test_invariants_on_random_stacks(self, case):
+        nr, nt, ns, ranks, seed = case
+        m = stack_of_ranks(nr, nt, ranks, seed)
+        f = gmd(m, ns)
+        assert f.w1.shape == (len(ranks), nr, ns) and f.r1.shape == (len(ranks), nt, ns)
+        eye = np.eye(ns)
+        for j in range(len(ranks)):
+            assert np.linalg.norm(f.w1[j].conj().T @ f.w1[j] - eye) <= 1e-10
+            assert np.linalg.norm(f.r1[j].conj().T @ f.r1[j] - eye) <= 1e-10
+            assert np.all(np.tril(f.q1[j], -1) == 0)
+            np.testing.assert_allclose(np.diag(f.q1[j]), f.sigma_bar[j], rtol=1e-10, atol=0)
+            top = np.linalg.svd(m[j], compute_uv=False)[:ns]
+            assert f.sigma_bar[j] == pytest.approx(np.exp(np.mean(np.log(top))), rel=1e-10)
+            truncation = rank_ns_truncation(m[j], ns)
+            recon = f.w1[j] @ f.q1[j] @ f.r1[j].conj().T
+            assert np.linalg.norm(recon - truncation) <= 1e-9 * np.linalg.norm(truncation)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gmd_stacks(), st.data())
+    def test_first_deficient_member_is_named(self, case, data):
+        nr, nt, ns, ranks, seed = case
+        index = data.draw(st.integers(0, len(ranks) - 1))
+        later = data.draw(st.sets(st.integers(index, len(ranks) - 1)))
+        ranks = [ns - 1 if j == index or j in later else r for j, r in enumerate(ranks)]
+        with pytest.raises(RankDeficiencyError) as info:
+            gmd(stack_of_ranks(nr, nt, ranks, seed), ns)
+        assert info.value.index == index

@@ -1,10 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridprec.dnn as dnn_module
-from hybridprec.channel import draw_channel
+from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.dnn import (
     LayerSpec,
@@ -26,6 +26,7 @@ from hybridprec.dnn import (
     train,
 )
 from hybridprec.precoder import FactorizeConfig, SystemDims, _windowed_stop
+from hybridprec.simulate import draw_ensemble
 
 
 class TestArchitecture:
@@ -321,96 +322,131 @@ class TestDataset:
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 
     def test_empty(self):
-        data = build_dataset(self.dims, 0, np.random.default_rng(0))
+        data = build_dataset(self.dims, 0, 0)
         assert len(data) == 0
 
     def test_targets_semi_unitary(self):
-        data = build_dataset(self.dims, 10, np.random.default_rng(1))
-        for s in data.samples:
-            gram = s.target.conj().T @ s.target
+        data = build_dataset(self.dims, 10, 1)
+        for target in data.targets:
+            gram = target.conj().T @ target
             assert np.linalg.norm(gram - np.eye(2)) <= 1e-10
 
     def test_feature_length_and_scaling(self):
-        data = build_dataset(self.dims, 3, np.random.default_rng(2))
-        for s in data.samples:
-            assert s.features.shape == (2 * 8 * 4,)
-            assert np.sqrt(np.mean(s.features**2)) == pytest.approx(1.0, rel=1e-12)
+        data = build_dataset(self.dims, 3, 2)
+        assert data.features.shape == (3, 2 * 8 * 4)
+        for features in data.features:
+            assert np.sqrt(np.mean(features**2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_deterministic_under_seed(self):
-        a = build_dataset(self.dims, 4, np.random.default_rng(3))
-        b = build_dataset(self.dims, 4, np.random.default_rng(3))
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.features, sb.features)
-            assert np.array_equal(sa.target, sb.target)
+        a = build_dataset(self.dims, 4, 3)
+        b = build_dataset(self.dims, 4, 3)
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.targets, b.targets)
 
     def test_split_tags(self):
-        data = build_dataset(self.dims, 10, np.random.default_rng(4), test_fraction=0.3)
-        assert len(data.train_samples) == 7
-        assert len(data.test_samples) == 3
+        data = build_dataset(self.dims, 10, 4, test_fraction=0.3)
+        assert data.n_train == 7
+        assert data.n_test == 3
+
+
+class TestDatasetStream:
+    dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(k=st.integers(0, 30), extra=st.integers(1, 30), seed=st.integers(0, 2**32))
+    def test_smaller_build_is_a_prefix(self, k, extra, seed):
+        small = build_dataset(self.dims, k, seed)
+        large = build_dataset(self.dims, k + extra, seed)
+        for name in ("features", "targets", "channels", "indices"):
+            assert np.array_equal(getattr(small, name), getattr(large, name)[:k]), name
+
+    def test_channels_are_the_dataset_stream(self):
+        data = build_dataset(self.dims, 12, 5)
+        np.testing.assert_array_equal(data.indices, np.arange(12))
+        assert np.array_equal(data.channels, draw_channels(self.dims, 12, 5, DATASET_STREAM))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_disjoint_from_the_curve_ensemble(self, seed):
+        channels = build_dataset(self.dims, 200, seed).channels
+        ensemble = draw_ensemble(self.dims, 200, seed, 0).h
+        equal = np.all(channels[:, None] == ensemble[None], axis=(2, 3))
+        assert not equal.any()
 
 
 def deficient_draws(bad):
-    """draw_channel, except that the draws numbered in ``bad`` (counted from 0)
-    come back rank 1; every draw consumes the generator as a real one does."""
-    count = iter(range(10**6))
+    """draw_channels, except that the stream indices in ``bad`` come back rank 1."""
 
-    def draw(rng, **kwargs):
-        ch = draw_channel(rng, **kwargs)
-        if next(count) in bad:
-            return replace(ch, matrix=np.outer(ch.matrix[:, 0], ch.matrix[0]))
-        return ch
+    def draw(dims, n, seed, stream, start=0):
+        h = draw_channels(dims, n, seed, stream, start=start)
+        for i in range(n):
+            if start + i in bad:
+                h[i] = np.outer(h[i, :, 0], h[i, 0])
+        return h
 
     return draw
 
 
-def reference_dataset(dims, size, rng, draw, test_fraction=0.0):
-    """build_dataset as first written: one gmd call per draw, redrawing a rank-deficient one."""
+def reference_dataset(dims, size, seed, draw, test_fraction=0.0):
+    """build_dataset as first written: one gmd call per stream index, skipping a rank-deficient one.
+
+    Returns the per-sample (features, target, channel, split) and the stream indices consumed.
+    """
     n_test = int(round(size * test_fraction))
-    samples = []
+    samples, consumed, index = [], [], 0
     for i in range(size):
         for _ in range(100):
-            ch = draw(rng, nt=dims.nt, nr=dims.nr, p_nlos=dims.p_nlos, spacing_ratio=dims.spacing_ratio)
+            h = draw(dims, 1, seed, DATASET_STREAM, start=index)[0]
+            consumed.append(index)
+            index += 1
             try:
-                target = gmd(ch.matrix, dims.ns).r1
+                target = gmd(h, dims.ns).r1
             except RankDeficiencyError:
                 continue
             break
         else:
             raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {i}")
         split = "test" if i >= size - n_test else "train"
-        samples.append((feature_vector(ch), target, ch, split))
-    return samples
+        samples.append((feature_vector(h), target, h, split, consumed[-1]))
+    return samples, consumed
 
 
 class TestBatchedDatasetTargets:
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 
     def build(self, monkeypatch, size, bad, test_fraction=0.0):
-        calls = []
+        calls, consumed = [], []
+        draw = deficient_draws(bad)
 
         def counted_gmd(*args, **kwargs):
             calls.append(args[0].shape)
             return gmd(*args, **kwargs)
 
-        monkeypatch.setattr(dnn_module, "draw_channel", deficient_draws(bad))
-        monkeypatch.setattr(dnn_module, "gmd", counted_gmd)
-        rng = np.random.default_rng(31)
-        return build_dataset(self.dims, size, rng, test_fraction), rng, calls
+        def counted_draw(dims, n, seed, stream, start=0):
+            assert stream == DATASET_STREAM
+            consumed.extend(range(start, start + n))
+            return draw(dims, n, seed, stream, start=start)
 
-    # the last case: 99 deficient draws in a row, one full-rank draw, then one more deficient
+        monkeypatch.setattr(dnn_module, "draw_channels", counted_draw)
+        monkeypatch.setattr(dnn_module, "gmd", counted_gmd)
+        return build_dataset(self.dims, size, 31, test_fraction), consumed, calls
+
+    # the last case: 99 deficient indices in a row, one full-rank index, then one more deficient
     @pytest.mark.parametrize("bad", [set(), {0, 3, 4, 11}, {1, 2, 12, 13}, set(range(2, 101)) | {102}])
     def test_matches_per_draw_reference(self, monkeypatch, bad):
-        data, rng, calls = self.build(monkeypatch, 12, bad, test_fraction=0.25)
-        ref_rng = np.random.default_rng(31)
-        ref = reference_dataset(self.dims, 12, ref_rng, deficient_draws(bad), test_fraction=0.25)
+        data, consumed, calls = self.build(monkeypatch, 12, bad, test_fraction=0.25)
+        ref, ref_consumed = reference_dataset(self.dims, 12, 31, deficient_draws(bad), test_fraction=0.25)
         assert len(data) == len(ref) == 12
-        for s, (features, target, ch, split) in zip(data.samples, ref):
-            np.testing.assert_array_equal(s.channel.matrix, ch.matrix)
-            assert s.channel.paths == ch.paths
-            np.testing.assert_array_equal(s.target, target)
-            np.testing.assert_array_equal(s.features, features)
-            assert s.split == split
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert data.n_test == 3
+        for k, (features, target, h, split, index) in enumerate(ref):
+            np.testing.assert_array_equal(data.channels[k], h)
+            np.testing.assert_array_equal(data.targets[k], target)
+            np.testing.assert_array_equal(data.features[k], features)
+            assert (k >= data.n_train) == (split == "test")
+            assert data.indices[k] == index
+        # every index up to the last kept one was read once, in order, and none after it
+        assert sorted(consumed) == list(range(max(consumed) + 1))
+        assert max(consumed) == max(ref_consumed) == data.indices[-1]
+        assert not set(data.indices) & bad
         if not bad:
             assert calls == [(12, self.dims.nr, self.dims.nt)]
 
@@ -423,26 +459,26 @@ class TestTrain:
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 
     def test_zero_learning_rate_constant_history(self):
-        data = build_dataset(self.dims, 6, np.random.default_rng(5))
+        data = build_dataset(self.dims, 6, 5)
         net = build_precoder_mlp(self.dims, seed=0)
         _, history = train(net, data, FactorizeConfig(learning_rate=0.0, max_iters=30, tolerance=0.0, batch=2, seed=1))
         assert np.all(history == history[0])
 
     @pytest.mark.parametrize("batch", [10, 20, 50, 100])
     def test_batch_sizes_accepted(self, batch):
-        data = build_dataset(self.dims, 30, np.random.default_rng(6))
+        data = build_dataset(self.dims, 30, 6)
         net = build_precoder_mlp(self.dims, seed=0)
         _, history = train(net, data, FactorizeConfig(learning_rate=0.001, max_iters=6, tolerance=0.0, batch=batch, seed=1))
         assert np.all(np.isfinite(history))
 
     def test_loss_decreases_on_single_sample(self):
-        data = build_dataset(self.dims, 1, np.random.default_rng(7))
+        data = build_dataset(self.dims, 1, 7)
         net = build_precoder_mlp(self.dims, seed=1)
         _, history = train(net, data, FactorizeConfig(learning_rate=0.01, max_iters=400, tolerance=0.0, batch=1, seed=2))
         assert history.min() < 0.5 * history[0]
 
     def test_history_has_one_entry_per_epoch(self):
-        data = build_dataset(self.dims, 8, np.random.default_rng(8))
+        data = build_dataset(self.dims, 8, 8)
         net = build_precoder_mlp(self.dims, seed=0)
         # 8 samples / batch 4 = 2 steps per epoch; 10 steps = 5 epochs
         _, history = train(net, data, FactorizeConfig(learning_rate=0.001, max_iters=10, tolerance=0.0, batch=4, seed=1))
@@ -450,7 +486,7 @@ class TestTrain:
 
     def test_requires_codec(self):
         net = build_mlp(4, [LayerSpec(2, "clamp")], clamp_max=1.0, seed=0)
-        data = build_dataset(self.dims, 2, np.random.default_rng(9))
+        data = build_dataset(self.dims, 2, 9)
         with pytest.raises(ValueError):
             train(net, data, FactorizeConfig(max_iters=1))
 
@@ -463,8 +499,8 @@ def reference_train(net, data, cfg):
 
     def loss_and_grad(batch, mode, rng):
         b = len(batch)
-        feats = np.stack([s.features for s in batch])
-        targets = np.stack([s.target for s in batch])
+        feats = np.stack([data.features[j] for j in batch])
+        targets = np.stack([data.targets[j] for j in batch])
         out, cache = forward(net, feats, mode=mode, rng=rng)
         phases, digital = codec.decode(out)
         analog = np.exp(1j * phases) / np.sqrt(codec.nt)
@@ -482,7 +518,7 @@ def reference_train(net, data, cfg):
         d_weights, d_biases = backward(net, cache, grad_out)
         return float(np.mean(np.linalg.norm(err, axis=(1, 2)))), d_weights, d_biases
 
-    train_split = list(data.train_samples)
+    train_split = list(range(data.n_train))
     rng = np.random.default_rng(cfg.seed)
     history, steps, epoch = [], 0, 0
     n_w = len(net.weights)
@@ -527,13 +563,13 @@ class TestTrainMatchesReference:
 
     def test_early_stop_with_ragged_batches_and_test_split(self):
         # 48 training samples in batches of 7: six full batches and one of 6
-        data = build_dataset(self.dims, 60, np.random.default_rng(21), test_fraction=0.2)
+        data = build_dataset(self.dims, 60, 21, test_fraction=0.2)
         cfg = FactorizeConfig(learning_rate=0.1, max_iters=3000, tolerance=1e-2, batch=7, seed=4)
         history = self.assert_same_training(data, cfg, noise_sigma=0.1)
         assert len(history) < 3000 // 7  # the stop rule fired before the step cap
 
     def test_noise_layer_without_early_stop(self):
-        data = build_dataset(self.dims, 30, np.random.default_rng(22))
+        data = build_dataset(self.dims, 30, 22)
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=50, tolerance=0.0, batch=4, seed=5)
         history = self.assert_same_training(data, cfg, noise_sigma=0.3)
         assert len(history) == 7  # 8 steps per epoch, the last epoch cut at step 50
@@ -548,7 +584,7 @@ class TestTrainMatchesReference:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(dnn_module, name, record)
-        data = build_dataset(self.dims, 10, np.random.default_rng(23))
+        data = build_dataset(self.dims, 10, 23)
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=9, tolerance=0.0, batch=4, seed=6)
         _, history = train(build_precoder_mlp(self.dims, seed=2), data, cfg)
         step = [("forward", "train"), ("backward", None), ("sgd_momentum_step", None)]
@@ -570,23 +606,23 @@ class TestCodecAndInference:
 
     def test_infer_constant_modulus_and_power(self):
         net = build_precoder_mlp(self.dims, seed=3)
-        ch = draw_channel(np.random.default_rng(11), 8, 4, 3)
-        hf = infer_precoders(net, ch)
+        h = draw_channels(self.dims, 1, 11, DATASET_STREAM)[0]
+        hf = infer_precoders(net, h)
         np.testing.assert_allclose(np.abs(hf.analog), 1 / np.sqrt(8), atol=1e-12)
         assert np.linalg.norm(hf.product) ** 2 <= 2 + 1e-9
 
     def test_infer_stack_matches_single_channels(self):
         net = build_precoder_mlp(self.dims, seed=3)
-        chans = [draw_channel(np.random.default_rng(20 + i), 8, 4, 3) for i in range(5)]
-        stacked = infer_precoders(net, np.stack([ch.matrix for ch in chans]))
-        for i, ch in enumerate(chans):
-            np.testing.assert_allclose(stacked.product[i], infer_precoders(net, ch).product, rtol=0, atol=1e-12)
+        chans = draw_channels(self.dims, 5, 20, DATASET_STREAM)
+        stacked = infer_precoders(net, chans)
+        for i, h in enumerate(chans):
+            np.testing.assert_allclose(stacked.product[i], infer_precoders(net, h).product, rtol=0, atol=1e-12)
 
     def test_infer_single_forward_deterministic(self):
         net = build_precoder_mlp(self.dims, seed=3)
-        ch = draw_channel(np.random.default_rng(12), 8, 4, 3)
-        a = infer_precoders(net, ch)
-        b = infer_precoders(net, ch)
+        h = draw_channels(self.dims, 1, 12, DATASET_STREAM)[0]
+        a = infer_precoders(net, h)
+        b = infer_precoders(net, h)
         assert np.array_equal(a.product, b.product)
 
 
@@ -594,12 +630,12 @@ class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
         net = build_precoder_mlp(dims, seed=4)
-        data = build_dataset(dims, 4, np.random.default_rng(13))
+        data = build_dataset(dims, 4, 13)
         net, _ = train(net, data, FactorizeConfig(learning_rate=0.01, max_iters=5, tolerance=0.0, batch=2, seed=5))
         path = tmp_path / "model.npz"
         save_mlp(net, str(path))
         loaded = load_mlp(str(path))
-        x = feature_vector(data.samples[0].channel)
+        x = feature_vector(data.channels[0])
         out_a, _ = forward(net, x)
         out_b, _ = forward(loaded, x)
         assert np.array_equal(out_a, out_b)

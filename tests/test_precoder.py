@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridprec.channel import PathParams, ChannelRealization, draw_channel
+from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.precoder import (
     STOP_WINDOW,
@@ -31,14 +31,6 @@ from hybridprec.precoder import (
 from hybridprec.simulate import draw_ensemble
 
 
-def wrap_channel(matrix):
-    matrix = np.asarray(matrix, dtype=complex)
-    nr, nt = matrix.shape
-    return ChannelRealization(
-        matrix=matrix, paths=(PathParams(gain=1.0, aod=0.0, aoa=0.0),), nt=nt, nr=nr
-    )
-
-
 def representable_target(nt, nt_rf, ns, seed):
     """A semi-unitary matrix that factors exactly into constant-modulus x digital."""
     rng = np.random.default_rng(seed)
@@ -50,37 +42,37 @@ def representable_target(nt, nt_rf, ns, seed):
 
 class TestFullyDigital:
     def test_identity_channel_gmd(self):
-        f = fully_digital_gmd(wrap_channel(np.eye(4)), 2)
+        f = fully_digital_gmd(np.eye(4), 2)
         np.testing.assert_allclose(f.q1, np.eye(2), atol=1e-10)
 
     def test_effective_channel_is_triangular_core(self):
-        ch = draw_channel(np.random.default_rng(0), nt=12, nr=6)
-        f = fully_digital_gmd(ch, 3)
-        eff = f.w1.conj().T @ ch.matrix @ f.r1
+        h = draw_channels(SystemDims(nt=12, nr=6, nt_rf=3, nr_rf=3, ns=3), 1, 0, DATASET_STREAM)[0]
+        f = fully_digital_gmd(h, 3)
+        eff = f.w1.conj().T @ h @ f.r1
         np.testing.assert_allclose(eff, f.q1, atol=1e-8)
 
     def test_diagonal_channel_equal_gains(self):
-        f = fully_digital_gmd(wrap_channel(np.diag([4.0, 1.0])), 2)
+        f = fully_digital_gmd(np.diag([4.0, 1.0]), 2)
         np.testing.assert_allclose(np.diag(f.q1).real, [2.0, 2.0], atol=1e-10)
 
     def test_svd_diagonal_channel(self):
-        prec, comb, gains = fully_digital_svd(wrap_channel(np.diag([4.0, 1.0])), 1)
+        prec, comb, gains = fully_digital_svd(np.diag([4.0, 1.0]), 1)
         np.testing.assert_allclose(gains, [4.0])
         np.testing.assert_allclose(np.abs(prec[:, 0]), [1.0, 0.0], atol=1e-12)
 
     def test_svd_product_oracle(self):
-        ch = draw_channel(np.random.default_rng(1), nt=10, nr=5)
-        prec, comb, gains = fully_digital_svd(ch, 3)
-        np.testing.assert_allclose(comb.conj().T @ ch.matrix @ prec, np.diag(gains), atol=1e-10)
+        h = draw_channels(SystemDims(nt=10, nr=5, nt_rf=3, nr_rf=3, ns=3), 1, 1, DATASET_STREAM)[0]
+        prec, comb, gains = fully_digital_svd(h, 3)
+        np.testing.assert_allclose(comb.conj().T @ h @ prec, np.diag(gains), atol=1e-10)
 
     def test_svd_unitary_channel_unit_gains(self):
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
-        _, _, gains = fully_digital_svd(wrap_channel(q), 4)
+        _, _, gains = fully_digital_svd(q, 4)
         np.testing.assert_allclose(gains, np.ones(4), atol=1e-12)
 
     def test_rank_deficiency_propagates(self):
         with pytest.raises(RankDeficiencyError):
-            fully_digital_svd(wrap_channel(np.outer([1, 2, 3.0], [1, 0, 1.0])), 2)
+            fully_digital_svd(np.outer([1, 2, 3.0], [1, 0, 1.0]), 2)
 
 
 class TestPhaseProject:
@@ -308,9 +300,8 @@ class TestFactorizeSgd:
     def test_median_beats_phase_projection_baseline(self):
         dims = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
         sgd_losses, base_losses = [], []
-        for seed in range(10):
-            ch = draw_channel(np.random.default_rng(seed), dims.nt, dims.nr, dims.p_nlos)
-            r1 = gmd(ch.matrix, dims.ns).r1
+        for seed, h in enumerate(draw_channels(dims, 10, 0, DATASET_STREAM)):
+            r1 = gmd(h, dims.ns).r1
             base_losses.append(hybrid_loss(r1, phase_projection_baseline(r1)))
             cfg = FactorizeConfig(learning_rate=0.02, max_iters=800, tolerance=0.0, seed=seed)
             sgd_losses.append(factorize_sgd(r1, dims.nt_rf, cfg).loss_trace[-1])
@@ -332,8 +323,8 @@ class TestFactorizeSgd:
             np.testing.assert_allclose(np.abs(res.factors.analog), 1 / np.sqrt(8), atol=1e-12)
 
     def test_best_so_far_monotone_and_windows_non_increasing(self):
-        ch = draw_channel(np.random.default_rng(20), 16, 8, 3)
-        r1 = gmd(ch.matrix, 2).r1
+        h = draw_channels(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 1, 20, DATASET_STREAM)[0]
+        r1 = gmd(h, 2).r1
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=2000, tolerance=0.0, seed=2)
         trace = factorize_sgd(r1, 4, cfg).loss_trace
         best = np.minimum.accumulate(trace)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridprec import simulate
-from hybridprec.channel import PathParams, ChannelRealization, draw_channel
+from hybridprec.channel import DATASET_STREAM, _trial_words, draw_channels, sample_path_params
 from hybridprec.decomp import gmd
 from hybridprec.dnn import build_precoder_mlp
 from hybridprec.precoder import (
@@ -19,7 +19,7 @@ from hybridprec.precoder import (
 from hybridprec.simulate import (
     SCHEME_IDS,
     PointEnsemble,
-    _draw_trials,
+    _payload,
     ber_curve,
     build_scheme_factors,
     draw_ensemble,
@@ -37,14 +37,12 @@ from hybridprec.simulate import (
 )
 
 DIMS = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
+SMALL = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 
 
-def wrap_channel(matrix):
-    matrix = np.asarray(matrix, dtype=complex)
-    nr, nt = matrix.shape
-    return ChannelRealization(
-        matrix=matrix, paths=(PathParams(gain=1.0, aod=0.0, aoa=0.0),), nt=nt, nr=nr
-    )
+def dataset_channel(dims, seed):
+    """Channel 0 of the dataset stream at ``seed``, an (nr, nt) matrix."""
+    return draw_channels(dims, 1, seed, DATASET_STREAM)[0]
 
 
 class TestQpsk:
@@ -66,44 +64,43 @@ class TestQpsk:
 
 class TestTransmit:
     def test_noiseless_gmd_gives_triangular_channel(self):
-        ch = draw_channel(np.random.default_rng(2), 16, 8, 3)
-        f = gmd(ch.matrix, 2)
+        h = dataset_channel(DIMS, 2)
+        f = gmd(h, 2)
         s = qpsk_map(np.array([0, 1, 1, 0]))
-        y = transmit(ch, f.r1, f.w1, s, 0.0, np.random.default_rng(0))
+        y = transmit(h, f.r1, f.w1, s, 0.0, np.random.default_rng(0))
         np.testing.assert_allclose(y, f.q1 @ s, atol=1e-10)
 
     def test_zero_symbols_leave_only_noise(self):
-        ch = draw_channel(np.random.default_rng(3), 8, 4, 3)
-        f = gmd(ch.matrix, 2)
-        y = transmit(ch, f.r1, f.w1, np.zeros(2), 1.0, np.random.default_rng(7))
+        h = dataset_channel(SMALL, 3)
+        f = gmd(h, 2)
+        y = transmit(h, f.r1, f.w1, np.zeros(2), 1.0, np.random.default_rng(7))
         assert np.linalg.norm(y) > 0
 
     def test_combined_noise_second_moment(self):
         # E||B^H n||^2 = sigma^2 * trace(B^H B) over many draws
-        ch = draw_channel(np.random.default_rng(4), 8, 4, 3)
-        f = gmd(ch.matrix, 2)
+        h = dataset_channel(SMALL, 4)
+        f = gmd(h, 2)
         sigma = 1.7
         rng = np.random.default_rng(8)
         acc = 0.0
         n_draws = 10_000
         for _ in range(n_draws):
-            y = transmit(ch, f.r1, f.w1, np.zeros(2), sigma, rng)
+            y = transmit(h, f.r1, f.w1, np.zeros(2), sigma, rng)
             acc += np.linalg.norm(y) ** 2
         expected = sigma**2 * np.trace(f.w1.conj().T @ f.w1).real
         assert acc / n_draws == pytest.approx(expected, rel=0.05)
 
     def test_power_budget_enforced(self):
-        ch = draw_channel(np.random.default_rng(5), 8, 4, 3)
-        f = gmd(ch.matrix, 2)
+        h = dataset_channel(SMALL, 5)
+        f = gmd(h, 2)
         with pytest.raises(ValueError):
-            transmit(ch, 2.0 * f.r1, f.w1, np.zeros(2), 0.0, np.random.default_rng(0))
+            transmit(h, 2.0 * f.r1, f.w1, np.zeros(2), 0.0, np.random.default_rng(0))
 
 
 class TestSicDetect:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(6)
-        ch = draw_channel(rng, 16, 8, 3)
-        f = gmd(ch.matrix, 2)
+        f = gmd(dataset_channel(DIMS, 6), 2)
         bits = rng.integers(0, 2, 4)
         s = qpsk_map(bits)
         s_hat = sic_detect(f.q1, f.q1 @ s)
@@ -151,7 +148,10 @@ class TestDrawEnsemble:
         assert not np.any(a.h == b.h)
 
     def test_sampler_moments(self):
-        gains, aod, aoa, bits, noise, factor_seeds = _draw_trials(DIMS, seed=22, point=0, lo=0, hi=20_000)
+        words = _trial_words(DIMS, 22, 0, 0, 20_000)
+        gains, aod, aoa = sample_path_params(words)
+        bits, noise = _payload(*words[4:7])
+        factor_seeds = words[7][:, 0]
         for angles in (aod, aoa):
             assert np.all(np.abs(angles) <= np.pi / 2)
             assert abs(np.mean(angles)) < 0.02
@@ -342,50 +342,50 @@ class TestNoiselessLoopback:
         analog = analog_from_phases(rng.uniform(0, 2 * np.pi, (16, 4)))
         digital = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         r1, _ = np.linalg.qr(analog @ digital)
-        ch = draw_channel(rng, 16, 8, 3)
-        f = gmd(ch.matrix, 2)
+        h = dataset_channel(DIMS, 16)
+        f = gmd(h, 2)
         res = factorize_sgd(f.r1, 4, FactorizeConfig(learning_rate=0.02, max_iters=40_000, tolerance=1e-12, seed=3))
         if res.loss_trace[-1] >= 1e-3:
             pytest.skip("factorization did not reach the loopback accuracy gate")
         bits = rng.integers(0, 2, 4)
         s = qpsk_map(bits)
-        y = transmit(ch, res.factors.product, f.w1, s, 0.0, rng)
-        q_eff = np.triu(f.w1.conj().T @ ch.matrix @ res.factors.product)
+        y = transmit(h, res.factors.product, f.w1, s, 0.0, rng)
+        q_eff = np.triu(f.w1.conj().T @ h @ res.factors.product)
         np.testing.assert_array_equal(qpsk_demap(sic_detect(q_eff, y)), bits)
 
 
 class TestSpectralEfficiency:
     def test_diagonal_channel_closed_form(self):
-        ch = wrap_channel(np.diag([4.0, 1.0]))
+        h = np.diag([4.0, 1.0])
         prec = np.eye(2, dtype=complex)
         comb = np.eye(2, dtype=complex)
         snr_db = 3.0
         rho_over_sigma2 = 10.0 ** (snr_db / 10.0) / 2.0  # (rho/ns) / sigma^2
         expected = np.log2(1 + 16 * rho_over_sigma2) + np.log2(1 + 1 * rho_over_sigma2)
-        assert spectral_efficiency(ch, prec, comb, snr_db) == pytest.approx(expected, rel=1e-10)
+        assert spectral_efficiency(h, prec, comb, snr_db) == pytest.approx(expected, rel=1e-10)
 
     def test_vanishes_at_deep_noise(self):
-        ch = wrap_channel(np.diag([4.0, 1.0]))
-        se = spectral_efficiency(ch, np.eye(2, dtype=complex), np.eye(2, dtype=complex), -120.0)
+        h = np.diag([4.0, 1.0])
+        se = spectral_efficiency(h, np.eye(2, dtype=complex), np.eye(2, dtype=complex), -120.0)
         assert se == pytest.approx(0.0, abs=1e-6)
 
     def test_nondecreasing_in_snr(self):
-        ch = draw_channel(np.random.default_rng(17), 8, 4, 3)
-        f = gmd(ch.matrix, 2)
-        values = [spectral_efficiency(ch, f.r1, f.w1, snr) for snr in (-10, 0, 10, 20)]
+        h = dataset_channel(SMALL, 17)
+        f = gmd(h, 2)
+        values = [spectral_efficiency(h, f.r1, f.w1, snr) for snr in (-10, 0, 10, 20)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_stack_matches_single_channels(self):
         ens = draw_ensemble(DIMS, 6, seed=23, point=0)
         rates = spectral_efficiency(ens.h, ens.r1, ens.w1, 5.0)
-        singles = [spectral_efficiency(wrap_channel(h), r, w, 5.0) for h, r, w in zip(ens.h, ens.r1, ens.w1)]
+        singles = [spectral_efficiency(h, r, w, 5.0) for h, r, w in zip(ens.h, ens.r1, ens.w1)]
         np.testing.assert_allclose(rates, singles, rtol=1e-12)
 
     def test_rank_deficient_combiner_rejected(self):
-        ch = wrap_channel(np.diag([4.0, 1.0]))
+        h = np.diag([4.0, 1.0])
         bad = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ValueError):
-            spectral_efficiency(ch, np.eye(2, dtype=complex), bad, 0.0)
+            spectral_efficiency(h, np.eye(2, dtype=complex), bad, 0.0)
 
     def test_unconstrained_svd_dominates_hybrids(self):
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=600, tolerance=0.0, seed=0)
@@ -397,14 +397,14 @@ class TestSpectralEfficiency:
 
 class TestMseVsIterations:
     def test_starts_at_initial_point(self):
-        chans = [draw_channel(np.random.default_rng(19 + i), 16, 8, 3) for i in range(4)]
+        chans = draw_channels(DIMS, 4, 19, DATASET_STREAM)
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=50, tolerance=0.0, seed=5)
         curve = mse_vs_iterations("sgd_hybrid", chans, DIMS, cfg)
         assert curve.iteration[0] == 0
         assert len(curve.mse) == 51
 
     def test_plateau_below_initial(self):
-        chans = [draw_channel(np.random.default_rng(30 + i), 16, 8, 3) for i in range(4)]
+        chans = draw_channels(DIMS, 4, 30, DATASET_STREAM)
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=300, tolerance=0.0, seed=6)
         curve = mse_vs_iterations("sgd_hybrid", chans, DIMS, cfg)
         assert curve.mse[-1] <= curve.mse[0]
