@@ -34,13 +34,10 @@ from hybridprec.precoder import (
     SystemDims,
     factorize_sgd,
     factorize_sgd_batch,
-    fully_digital_gmd,
-    fully_digital_svd,
     hybrid_loss,
     phase_project,
     phase_projection_baseline,
     power_normalize,
-    precoder_mse,
 )
 from hybridprec.simulate import (
     SCHEME_IDS,
@@ -54,7 +51,6 @@ from hybridprec.simulate import (
     se_curve,
     sic_detect,
     spectral_efficiency,
-    transmit,
 )
 
 __version__ = "0.1.0"

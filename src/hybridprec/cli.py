@@ -242,6 +242,9 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
     if cfg.kind == "complexity-bench":
         if len(cfg.nt_sweep) < 2:
             raise ConfigError("complexity-bench requires at least two nt_sweep values")
+        if cfg.bench_iters < 1:
+            # zero iterations would time a factorization that does no work
+            raise ConfigError(f"{at('bench_iters')}bench_iters must be >= 1, got {cfg.bench_iters}")
         for nt in cfg.nt_sweep:
             if not cfg.ns <= cfg.nt_rf <= nt:
                 raise ConfigError(

@@ -18,7 +18,7 @@ import numpy as np
 class RankDeficiencyError(ValueError):
     """The input does not have enough strictly positive singular values.
 
-    When :func:`gmd` raises it, ``index`` is the position of the first
+    When :func:`svd` raises it, ``index`` is the position of the first
     deficient matrix in the stack (0 for a single matrix).
     """
 
@@ -27,14 +27,17 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD m = u @ diag(sigma) @ v^H with sigma sorted descending."""
+    """Thin SVD factors, u @ diag(sigma) @ v^H, sigma sorted descending.
+
+    Factors of a (b, nr, nt) stack carry a leading batch axis.
+    """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.conj().T
+        return (self.u * self.sigma[..., None, :]) @ self.v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,37 @@ class GmdFactors:
         return self.w1 @ self.q1 @ self.r1.conj().swapaxes(-1, -2)
 
 
-def svd(m: np.ndarray) -> SvdFactors:
-    """Thin SVD of a complex (or real) matrix with descending singular values."""
+def svd(m: np.ndarray, ns: int) -> SvdFactors:
+    """Rank-ns thin SVD of a matrix, or of a (b, nr, nt) stack, with descending singular values.
+
+    Only the ns leading singular triplets are returned: u (..., nr, ns),
+    sigma (..., ns) and v (..., nt, ns). Raises RankDeficiencyError when
+    sigma_ns is numerically zero relative to sigma_1, naming the first such
+    matrix of a stack in its ``index``. A single matrix is a batch of one.
+    """
     m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdFactors(u=u, sigma=s, v=vh.conj().T)
+    if ns < 1 or ns > min(m.shape[-2:]):
+        raise ValueError(f"ns must be in [1, {min(m.shape[-2:])}], got {ns}")
+    stack = m if m.ndim == 3 else m[None]
+    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    deficient = np.flatnonzero(sigma[:, ns - 1] <= 1e-12 * sigma[:, 0])
+    if deficient.size:
+        j = deficient[0]
+        where = f" (matrix {j} of the stack)" if m.ndim == 3 else ""
+        error = RankDeficiencyError(
+            f"rank below ns={ns}{where}: sigma_ns={sigma[j, ns - 1]:.3e} vs sigma_1={sigma[j, 0]:.3e}"
+        )
+        error.index = int(j)
+        raise error
+    # compact copies, so that the discarded columns are freed
+    u, sigma, v = u[:, :, :ns].copy(), sigma[:, :ns].copy(), np.conj(np.swapaxes(vh[:, :ns], 1, 2))
+    if m.ndim == 2:
+        return SvdFactors(u=u[0], sigma=sigma[0], v=v[0])
+    return SvdFactors(u=u, sigma=sigma, v=v)
 
 
 def geometric_mean_sigma(sigma: np.ndarray, ns: int) -> float | np.ndarray:
@@ -173,32 +198,15 @@ def gmd(m: np.ndarray, ns: int) -> GmdFactors:
 
     w1 @ q1 @ r1^H equals the rank-ns SVD truncation of m; the diagonal of q1
     is real, positive, and constant at the geometric mean of the ns largest
-    singular values. Raises RankDeficiencyError when sigma_ns is numerically
-    zero relative to sigma_1, naming the first such matrix of a stack in its
-    ``index``. ``m`` may be a (b, nr, nt) stack: one batched SVD, then the
+    singular values. ``m`` may be a (b, nr, nt) stack: one batched
+    :func:`svd`, whose rank rule raises RankDeficiencyError, then the
     rotations of all b matrices at once; a single matrix is a batch of one.
     """
-    m = np.asarray(m)
-    if m.ndim not in (2, 3):
-        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    stack = m if m.ndim == 3 else m[None]
-    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    if ns < 1 or ns > sigma.shape[-1]:
-        raise ValueError(f"ns must be in [1, {sigma.shape[-1]}], got {ns}")
-    deficient = np.flatnonzero(sigma[:, ns - 1] <= 1e-12 * sigma[:, 0])
-    if deficient.size:
-        j = deficient[0]
-        where = f" (matrix {j} of the stack)" if m.ndim == 3 else ""
-        error = RankDeficiencyError(
-            f"rank below ns={ns}{where}: sigma_ns={sigma[j, ns - 1]:.3e} vs sigma_1={sigma[j, 0]:.3e}"
-        )
-        error.index = int(j)
-        raise error
-    w1, q1, r1, sigma_bar = gmd_from_svd(u, sigma, np.conj(np.swapaxes(vh, 1, 2)), ns)
-    if m.ndim == 2:
+    f = svd(m, ns)
+    if f.sigma.ndim == 1:
+        w1, q1, r1, sigma_bar = gmd_from_svd(f.u[None], f.sigma[None], f.v[None], ns)
         return GmdFactors(w1=w1[0], q1=q1[0], r1=r1[0], sigma_bar=float(sigma_bar[0]))
+    w1, q1, r1, sigma_bar = gmd_from_svd(f.u, f.sigma, f.v, ns)
     return GmdFactors(w1=w1, q1=q1, r1=r1, sigma_bar=sigma_bar)
 
 

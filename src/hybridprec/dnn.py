@@ -21,6 +21,7 @@ from hybridprec.precoder import (
     HybridFactors,
     SystemDims,
     _windowed_stop,
+    analog_from_phases,
     factorization_gradient_batch,
     power_normalize,
 )
@@ -405,7 +406,7 @@ def _batch_loss_and_grad(
     if mode == "infer":
         cache = None  # free the activations before the codec's temporaries pile on
     phases, digital = codec.decode(out)
-    analog = np.exp(1j * phases) / np.sqrt(codec.nt)
+    analog = analog_from_phases(phases)
     err = targets - analog @ digital
     loss = float(np.mean(np.linalg.norm(err, axis=(1, 2))))
     if mode == "infer":
@@ -477,7 +478,7 @@ def infer_precoders(net: Mlp, h: np.ndarray) -> HybridFactors:
         raise ValueError("inference requires a network built with a precoder codec")
     out, _ = forward(net, feature_vector(h), mode="infer")
     phases, digital = net.codec.decode(out)
-    analog = np.exp(1j * phases) / np.sqrt(net.codec.nt)
+    analog = analog_from_phases(phases)
     return power_normalize(HybridFactors(analog=analog, digital=digital))
 
 

@@ -1,4 +1,4 @@
-"""Fully digital baselines and constant-modulus hybrid factorization.
+"""Constant-modulus hybrid factorization and the phase-projection baseline.
 
 The hybrid factorization splits the GMD precoder R1 into an analog part
 R_A, whose entries all have modulus 1/sqrt(nt) (phase shifters), and a small
@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from hybridprec.decomp import GmdFactors, RankDeficiencyError, gmd, svd
 
 
 @dataclass(frozen=True)
@@ -123,26 +121,6 @@ class FactorizeResult:
     power_scale: float = 1.0
 
 
-def fully_digital_gmd(h: np.ndarray, ns: int) -> GmdFactors:
-    """GMD precoder/combiner pair of an (nr, nt) channel: W1^H H R1 equals the upper triangular Q1."""
-    return gmd(h, ns)
-
-
-def fully_digital_svd(h: np.ndarray, ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-ns singular-vector precoder and combiner of an (nr, nt) channel, with the per-stream gains.
-
-    Returns (precoder, combiner, gains): combiner^H H precoder = diag(gains).
-    """
-    factors = svd(h)
-    if ns < 1 or ns > factors.sigma.size:
-        raise ValueError(f"ns must be in [1, {factors.sigma.size}], got {ns}")
-    if factors.sigma[ns - 1] <= 1e-12 * factors.sigma[0]:
-        raise RankDeficiencyError(
-            f"rank below ns={ns}: sigma_ns={factors.sigma[ns - 1]:.3e} vs sigma_1={factors.sigma[0]:.3e}"
-        )
-    return factors.v[:, :ns], factors.u[:, :ns], factors.sigma[:ns]
-
-
 def phase_project(target: np.ndarray) -> np.ndarray:
     """Nearest constant-modulus matrix: keep each entry's phase, force modulus 1/sqrt(nt).
 
@@ -150,14 +128,12 @@ def phase_project(target: np.ndarray) -> np.ndarray:
     minimizer of ||target - X||_F over matrices with |X_ij| = 1/sqrt(nt).
     A (..., nt, ns) stack is projected matrix by matrix.
     """
-    target = np.asarray(target)
-    nt = target.shape[-2]
-    return np.exp(1j * np.angle(target)) / np.sqrt(nt)
+    return analog_from_phases(np.angle(target))
 
 
 def analog_from_phases(phases: np.ndarray) -> np.ndarray:
-    """Build the analog precoder (1/sqrt(nt)) * exp(j*phases) from its phase matrix."""
-    nt = phases.shape[0]
+    """The analog precoder (1/sqrt(nt)) * exp(j*phases) of an (..., nt, nt_rf) phase matrix or stack."""
+    nt = phases.shape[-2]
     return np.exp(1j * phases) / np.sqrt(nt)
 
 
@@ -185,23 +161,6 @@ def _power_normalize_scale(hf: HybridFactors) -> tuple[HybridFactors, np.ndarray
     power = np.sum(np.abs(hf.product) ** 2, axis=(-2, -1))
     scale = np.sqrt(ns / np.maximum(power, ns))  # exactly 1 inside the budget
     return HybridFactors(analog=hf.analog, digital=hf.digital * scale[..., None, None]), scale
-
-
-def precoder_mse(r1, hf) -> float:
-    """Squared factorization error, averaged when given matching sequences.
-
-    For a single (r1, factors) pair this is hybrid_loss(...)^2; for a batch
-    (two equal-length sequences) it is the mean of the squared losses.
-    """
-    if isinstance(hf, HybridFactors):
-        return hybrid_loss(r1, hf) ** 2
-    targets = list(r1)
-    factors = list(hf)
-    if len(targets) != len(factors):
-        raise ValueError(f"batch length mismatch: {len(targets)} targets vs {len(factors)} factors")
-    if not targets:
-        raise ValueError("batch must be non-empty")
-    return float(np.mean([hybrid_loss(t, f) ** 2 for t, f in zip(targets, factors)]))
 
 
 def phase_projection_baseline(r1: np.ndarray) -> HybridFactors:
@@ -396,7 +355,7 @@ def _momentum_sgd(
     final_analog = np.empty((b, nt, nt_rf), dtype=complex)
     final_digital = np.empty_like(digital)
 
-    analog = np.exp(1j * phases) / root_nt
+    analog = analog_from_phases(phases)
     err = r1_stack - analog @ digital
     trace = [np.linalg.norm(err, axis=(1, 2))]
     # a diverging run overflows the rotation polynomials; the check after the
@@ -412,7 +371,7 @@ def _momentum_sgd(
                 v_digital -= cfg.learning_rate * g_digital
                 digital += v_digital
             if it % STOP_WINDOW == 0 or it == cfg.max_iters:
-                analog = np.exp(1j * phases) / root_nt
+                analog = analog_from_phases(phases)
             else:
                 _rotate_analog(analog, phases, v_phases, root_nt)
             err = r1_stack - analog @ digital

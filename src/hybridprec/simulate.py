@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from hybridprec.channel import _complex_normal, _trial_words, generate_channel, sample_path_params
-from hybridprec.decomp import RankDeficiencyError, gmd, gmd_from_svd
+from hybridprec.decomp import RankDeficiencyError, gmd, gmd_from_svd, svd
 from hybridprec.dnn import Mlp, infer_precoders
 from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd_batch, phase_projection_baseline
 
@@ -126,32 +126,6 @@ def qpsk_slice(z: np.ndarray) -> np.ndarray:
     return (np.where(z.real >= 0, 1.0, -1.0) + 1j * np.where(z.imag >= 0, 1.0, -1.0)) * _QPSK_SCALE
 
 
-def transmit(
-    h: np.ndarray,
-    precoder: np.ndarray,
-    combiner: np.ndarray,
-    s: np.ndarray,
-    noise_sigma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One use of the link: y = combiner^H H precoder s + combiner^H n, for an (nr, nt) channel H.
-
-    The noise n is CN(0, noise_sigma^2 I) on the receive antennas. Raises
-    when the precoder violates the transmit power budget trace(DD^H) <= ns.
-    """
-    ns = precoder.shape[1]
-    power = float(np.linalg.norm(precoder) ** 2)
-    if power > ns + 1e-9:
-        raise ValueError(f"precoder power {power:.6f} exceeds budget ns={ns}")
-    nr = h.shape[0]
-    noise = (
-        noise_sigma * (rng.standard_normal(nr) + 1j * rng.standard_normal(nr)) / np.sqrt(2.0)
-        if noise_sigma > 0
-        else np.zeros(nr)
-    )
-    return combiner.conj().T @ (h @ (precoder @ s) + noise)
-
-
 def sic_detect(q1: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Successive interference cancellation down an upper triangular channel.
 
@@ -179,17 +153,13 @@ def sic_detect(q1: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointEnsemble:
-    """Channels, their decompositions and the per-trial randomness of one grid point."""
+    """Channels of one grid point and the factors every scheme is built from."""
 
     h: np.ndarray  # (b, nr, nt) stacked channel matrices
-    u: np.ndarray  # (b, nr, k) left singular vectors
-    sigma: np.ndarray  # (b, k) singular values
-    v: np.ndarray  # (b, nt, k) right singular vectors
+    u: np.ndarray  # (b, nr, ns) leading left singular vectors
+    v: np.ndarray  # (b, nt, ns) leading right singular vectors
     w1: np.ndarray  # (b, nr, ns) GMD combiners
-    q1: np.ndarray  # (b, ns, ns) GMD effective channels
     r1: np.ndarray  # (b, nt, ns) GMD precoders
-    bits: np.ndarray  # (b, 2 ns) QPSK payload bits
-    noise: np.ndarray  # (b, nr) unit-variance circular complex Gaussian noise
     factor_seeds: np.ndarray  # (b,) uint64 seeds of the factorization starts
 
 
@@ -210,25 +180,28 @@ def _map_chunks(build, trials: int, threads: int) -> list:
 def draw_ensemble(
     dims: SystemDims, trials: int, seed: int, point: int, threads: int = 1
 ) -> PointEnsemble:
-    """Draw ``trials`` channels with their SVD and GMD factors, batched.
+    """Draw ``trials`` channels with their rank-ns SVD and GMD factors, batched.
 
     The channels are stream ``point`` of the Philox trial blocks. Chunks of
     ``_SETUP_CHUNK`` trials run on ``threads`` workers; a chunk only sets
     the counter offset, so the ensemble is the same for every thread count,
     and its first trials equal a shorter draw at the same (seed, point).
+    A channel of rank below ns raises RankDeficiencyError naming the point
+    and the trial. The payload of the blocks is left to :func:`draw_payload`.
     """
 
     def build_chunk(lo: int) -> PointEnsemble:
         words = _trial_words(dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials))
         gains, aod, aoa = sample_path_params(words)
         h = generate_channel(gains, aod, aoa, dims.nt, dims.nr, dims.spacing_ratio)
-        u, s, vh = np.linalg.svd(h, full_matrices=False)
-        if np.any(s[:, dims.ns - 1] <= 1e-12 * s[:, 0]):
-            raise RankDeficiencyError(f"rank-deficient channel draw at point {point}")
-        v = np.conj(np.swapaxes(vh, 1, 2))
-        w1, q1, r1, _ = gmd_from_svd(u, s, v, dims.ns)
-        bits, noise = _payload(*words[4:7])
-        return PointEnsemble(h, u, s, v, w1, q1, r1, bits, noise, words[7][:, 0])
+        try:
+            f = svd(h, dims.ns)
+        except RankDeficiencyError as exc:
+            error = RankDeficiencyError(f"rank-deficient channel draw at point {point}, trial {lo + exc.index}")
+            error.index = lo + exc.index
+            raise error from exc
+        w1, _, r1, _ = gmd_from_svd(f.u, f.sigma, f.v, dims.ns)
+        return PointEnsemble(h, f.u, f.v, w1, r1, words[7][:, 0])
 
     parts = _map_chunks(build_chunk, trials, threads)
     if len(parts) == 1:
@@ -241,9 +214,9 @@ def draw_payload(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bits (trials, 2 ns) and unit noise (trials, nr) of one grid point.
 
-    Reads the same counter blocks as :func:`draw_ensemble` but decodes only
-    the payload fields, so the arrays equal ``draw_ensemble(dims, trials,
-    seed, point).bits`` and ``.noise`` bit for bit, at any thread count.
+    Reads the payload fields of the counter blocks that :func:`draw_ensemble`
+    reads its channels from, chunk by chunk, so the arrays are the same at
+    any thread count and a shorter draw gives their first rows.
     """
 
     def build_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,28 +238,33 @@ def build_scheme_factors(
 
     Hybrid schemes share the GMD combiner W1; the fully digital schemes use
     their own decomposition factors. Hybrid precoders are power-normalized
-    products R_A R_D.
+    products R_A R_D. Raises ValueError, naming the scheme, when a precoder
+    exceeds the transmit power budget trace(DD^H) <= ns.
     """
     validate_scheme(scheme)
-    ns = dims.ns
+    combiners = ensemble.w1
     if scheme == "fully_digital_gmd":
-        return ensemble.r1, ensemble.w1
-    if scheme == "fully_digital_svd":
-        return ensemble.v[:, :, :ns], ensemble.u[:, :, :ns]
-    if scheme == "phase_projection":
-        return phase_projection_baseline(ensemble.r1).product, ensemble.w1
-    if scheme == "sgd_hybrid":
+        precoders = ensemble.r1
+    elif scheme == "fully_digital_svd":
+        precoders, combiners = ensemble.v, ensemble.u
+    elif scheme == "phase_projection":
+        precoders = phase_projection_baseline(ensemble.r1).product
+    elif scheme == "sgd_hybrid":
         if cfg is None:
             raise ValueError("sgd_hybrid requires a FactorizeConfig")
-        factors, _, _ = factorize_sgd_batch(
-            ensemble.r1, dims.nt_rf, cfg, seeds=ensemble.factor_seeds
+        factors, _, _ = factorize_sgd_batch(ensemble.r1, dims.nt_rf, cfg, seeds=ensemble.factor_seeds)
+        precoders = np.stack([f.product for f in factors])
+    else:  # dnn_hybrid
+        if net is None:
+            raise ValueError("dnn_hybrid requires a trained network")
+        precoders = infer_precoders(net, ensemble.h).product
+    power = np.sum(np.abs(precoders) ** 2, axis=(1, 2))
+    over = np.flatnonzero(power > dims.ns + 1e-9)
+    if over.size:
+        raise ValueError(
+            f"{scheme} precoder of trial {over[0]} has power {power[over[0]]:.6f}, over the budget ns={dims.ns}"
         )
-        product = np.stack([f.product for f in factors])
-        return product, ensemble.w1
-    # dnn_hybrid
-    if net is None:
-        raise ValueError("dnn_hybrid requires a trained network")
-    return infer_precoders(net, ensemble.h).product, ensemble.w1
+    return precoders, combiners
 
 
 def wilson_halfwidth(errors: int, n: int, z: float = 1.96) -> float:

@@ -120,6 +120,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line 2: .*{message}"):
             parse_config(write_config(tmp_path, text), kind=kind)
 
+    @pytest.mark.parametrize("iters", [-1, 0])
+    def test_bench_iters_rejected_with_line_number(self, tmp_path, iters):
+        text = f"seed = 1\nbench_iters = {iters}\n"
+        with pytest.raises(ConfigError, match=f"line 2: bench_iters must be >= 1, got {iters}"):
+            parse_config(write_config(tmp_path, text), kind="complexity-bench")
+        # only complexity-bench runs the timed factorization
+        assert parse_config(write_config(tmp_path, text), kind="ber").bench_iters == iters
+
     def test_train_size_free_when_nothing_trains(self, tmp_path):
         # a loaded model, or no dnn_hybrid at all, never builds a training set
         text = "schemes = dnn_hybrid\nmodel = model.npz\ntrain_size = 0\n"

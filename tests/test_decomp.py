@@ -18,25 +18,34 @@ def rank_ns_truncation(m, ns):
 
 class TestSvd:
     def test_identity_spectrum(self):
-        np.testing.assert_allclose(svd(np.eye(3)).sigma, [1.0, 1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(svd(np.eye(3), 3).sigma, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_diagonal_sorted_descending(self):
-        np.testing.assert_allclose(svd(np.diag([3.0, 4.0])).sigma, [4.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(svd(np.diag([3.0, 4.0]), 2).sigma, [4.0, 3.0], atol=1e-14)
 
     def test_reconstruction(self):
         m = random_complex(np.random.default_rng(0), (8, 4))
-        f = svd(m)
+        f = svd(m, 4)
         assert np.linalg.norm(f.reconstruct() - m) / np.linalg.norm(m) < 1e-10
+        # rank ns keeps the leading ns triplets: the best rank-ns approximation
+        f2 = svd(m, 2)
+        assert f2.u.shape == (8, 2) and f2.sigma.shape == (2,) and f2.v.shape == (4, 2)
+        np.testing.assert_allclose(f2.reconstruct(), rank_ns_truncation(m, 2), atol=1e-12)
 
     def test_semi_unitary_factors(self):
-        f = svd(random_complex(np.random.default_rng(1), (6, 9)))
+        f = svd(random_complex(np.random.default_rng(1), (6, 9)), 6)
         k = f.sigma.size
         assert np.linalg.norm(f.u.conj().T @ f.u - np.eye(k)) < 1e-10
         assert np.linalg.norm(f.v.conj().T @ f.v - np.eye(k)) < 1e-10
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+            svd(np.array([[1.0, np.nan], [0.0, 1.0]]), 1)
+
+    @pytest.mark.parametrize("ns", [0, 3])
+    def test_ns_out_of_range_rejected(self, ns):
+        with pytest.raises(ValueError, match="ns must be in"):
+            svd(np.eye(2), ns)
 
 
 class TestGeometricMeanSigma:
@@ -275,3 +284,35 @@ class TestGmdProperties:
         with pytest.raises(RankDeficiencyError) as info:
             gmd(stack_of_ranks(nr, nt, ranks, seed), ns)
         assert info.value.index == index
+
+
+class TestSvdProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(gmd_stacks())
+    def test_stack_equals_per_matrix_calls(self, case):
+        nr, nt, ns, ranks, seed = case
+        m = stack_of_ranks(nr, nt, ranks, seed)
+        f = svd(m, ns)
+        assert f.u.shape == (len(ranks), nr, ns) and f.v.shape == (len(ranks), nt, ns)
+        for j in range(len(ranks)):
+            single = svd(m[j], ns)
+            for name in ("u", "sigma", "v"):
+                assert np.array_equal(getattr(f, name)[j], getattr(single, name)), name
+        np.testing.assert_allclose(
+            f.reconstruct(), [rank_ns_truncation(x, ns) for x in m], atol=1e-9 * np.max(np.abs(m))
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gmd_stacks(), st.data())
+    def test_first_deficient_member_is_named(self, case, data):
+        nr, nt, ns, ranks, seed = case
+        index = data.draw(st.integers(0, len(ranks) - 1))
+        later = data.draw(st.sets(st.integers(index, len(ranks) - 1)))
+        ranks = [ns - 1 if j == index or j in later else r for j, r in enumerate(ranks)]
+        m = stack_of_ranks(nr, nt, ranks, seed)
+        with pytest.raises(RankDeficiencyError) as info:
+            svd(m, ns)
+        assert info.value.index == index
+        with pytest.raises(RankDeficiencyError) as info:
+            svd(m[index], ns)
+        assert info.value.index == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridprec.channel import DATASET_STREAM, draw_channels
-from hybridprec.decomp import RankDeficiencyError, gmd
+from hybridprec.decomp import RankDeficiencyError, gmd, svd
 from hybridprec.precoder import (
     STOP_WINDOW,
     FactorizationDivergedError,
@@ -19,14 +19,11 @@ from hybridprec.precoder import (
     factorization_gradient_batch,
     factorize_sgd,
     factorize_sgd_batch,
-    fully_digital_gmd,
-    fully_digital_svd,
     hybrid_loss,
     init_factor_params,
     phase_project,
     phase_projection_baseline,
     power_normalize,
-    precoder_mse,
 )
 from hybridprec.simulate import draw_ensemble
 
@@ -41,38 +38,39 @@ def representable_target(nt, nt_rf, ns, seed):
 
 
 class TestFullyDigital:
+    """The precoder/combiner pairs of the fully digital schemes: GMD and rank-ns SVD factors."""
+
     def test_identity_channel_gmd(self):
-        f = fully_digital_gmd(np.eye(4), 2)
+        f = gmd(np.eye(4), 2)
         np.testing.assert_allclose(f.q1, np.eye(2), atol=1e-10)
 
     def test_effective_channel_is_triangular_core(self):
         h = draw_channels(SystemDims(nt=12, nr=6, nt_rf=3, nr_rf=3, ns=3), 1, 0, DATASET_STREAM)[0]
-        f = fully_digital_gmd(h, 3)
+        f = gmd(h, 3)
         eff = f.w1.conj().T @ h @ f.r1
         np.testing.assert_allclose(eff, f.q1, atol=1e-8)
 
     def test_diagonal_channel_equal_gains(self):
-        f = fully_digital_gmd(np.diag([4.0, 1.0]), 2)
+        f = gmd(np.diag([4.0, 1.0]), 2)
         np.testing.assert_allclose(np.diag(f.q1).real, [2.0, 2.0], atol=1e-10)
 
     def test_svd_diagonal_channel(self):
-        prec, comb, gains = fully_digital_svd(np.diag([4.0, 1.0]), 1)
-        np.testing.assert_allclose(gains, [4.0])
-        np.testing.assert_allclose(np.abs(prec[:, 0]), [1.0, 0.0], atol=1e-12)
+        f = svd(np.diag([4.0, 1.0]), 1)
+        np.testing.assert_allclose(f.sigma, [4.0])
+        np.testing.assert_allclose(np.abs(f.v[:, 0]), [1.0, 0.0], atol=1e-12)
 
     def test_svd_product_oracle(self):
         h = draw_channels(SystemDims(nt=10, nr=5, nt_rf=3, nr_rf=3, ns=3), 1, 1, DATASET_STREAM)[0]
-        prec, comb, gains = fully_digital_svd(h, 3)
-        np.testing.assert_allclose(comb.conj().T @ h @ prec, np.diag(gains), atol=1e-10)
+        f = svd(h, 3)
+        np.testing.assert_allclose(f.u.conj().T @ h @ f.v, np.diag(f.sigma), atol=1e-10)
 
     def test_svd_unitary_channel_unit_gains(self):
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
-        _, _, gains = fully_digital_svd(q, 4)
-        np.testing.assert_allclose(gains, np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(svd(q, 4).sigma, np.ones(4), atol=1e-12)
 
     def test_rank_deficiency_propagates(self):
         with pytest.raises(RankDeficiencyError):
-            fully_digital_svd(np.outer([1, 2, 3.0], [1, 0, 1.0]), 2)
+            svd(np.outer([1, 2, 3.0], [1, 0, 1.0]), 2)
 
 
 class TestPhaseProject:
@@ -188,35 +186,6 @@ class TestPowerNormalize:
             out = power_normalize(hf)
             assert np.linalg.norm(out.product) ** 2 <= 2 + 1e-12
             assert np.array_equal(out.analog, hf.analog)
-
-
-class TestPrecoderMse:
-    def test_exact_is_zero(self):
-        rng = np.random.default_rng(8)
-        hf = HybridFactors(
-            analog=analog_from_phases(rng.uniform(0, 2 * np.pi, (6, 2))),
-            digital=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-        )
-        assert precoder_mse(hf.product, hf) == pytest.approx(0.0, abs=1e-20)
-
-    def test_single_equals_squared_loss(self):
-        rng = np.random.default_rng(9)
-        r1 = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        hf = HybridFactors(
-            analog=analog_from_phases(rng.uniform(0, 2 * np.pi, (6, 2))),
-            digital=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-        )
-        assert precoder_mse(r1, hf) == pytest.approx(hybrid_loss(r1, hf) ** 2, abs=1e-12)
-
-    def test_batch_of_identical_instances(self):
-        rng = np.random.default_rng(10)
-        r1 = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        hf = HybridFactors(
-            analog=analog_from_phases(rng.uniform(0, 2 * np.pi, (6, 2))),
-            digital=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-        )
-        single = precoder_mse(r1, hf)
-        assert precoder_mse([r1] * 3, [hf] * 3) == pytest.approx(single, rel=1e-12)
 
 
 class TestFactorizationGradient:

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from hybridprec import simulate
 from hybridprec.channel import DATASET_STREAM, _trial_words, draw_channels, sample_path_params
-from hybridprec.decomp import gmd
+from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.dnn import build_precoder_mlp
 from hybridprec.precoder import (
     FactorizeConfig,
+    HybridFactors,
     SystemDims,
     analog_from_phases,
     factorize_sgd,
     hybrid_loss,
+    phase_projection_baseline,
 )
 from hybridprec.simulate import (
     SCHEME_IDS,
@@ -32,7 +34,6 @@ from hybridprec.simulate import (
     se_curve,
     sic_detect,
     spectral_efficiency,
-    transmit,
     wilson_halfwidth,
 )
 
@@ -43,6 +44,12 @@ SMALL = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 def dataset_channel(dims, seed):
     """Channel 0 of the dataset stream at ``seed``, an (nr, nt) matrix."""
     return draw_channels(dims, 1, seed, DATASET_STREAM)[0]
+
+
+def link(h, precoders, combiners, s, noise):
+    """The link of ber_curve, y = B^H H D s + B^H n, for one trial or a stack of trials."""
+    comb_h = np.conj(np.swapaxes(combiners, -1, -2))
+    return (comb_h @ h @ precoders @ s[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
 
 
 class TestQpsk:
@@ -64,37 +71,41 @@ class TestQpsk:
 
 class TestTransmit:
     def test_noiseless_gmd_gives_triangular_channel(self):
-        h = dataset_channel(DIMS, 2)
-        f = gmd(h, 2)
-        s = qpsk_map(np.array([0, 1, 1, 0]))
-        y = transmit(h, f.r1, f.w1, s, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(y, f.q1 @ s, atol=1e-10)
+        ens = draw_ensemble(DIMS, 50, seed=2, point=0)
+        f = gmd(ens.h, 2)
+        bits, _ = draw_payload(DIMS, 50, seed=2, point=0)
+        s = qpsk_map(bits)
+        y = link(ens.h, f.r1, f.w1, s, np.zeros((50, DIMS.nr)))
+        np.testing.assert_allclose(y, (f.q1 @ s[..., None])[..., 0], atol=1e-10)
 
     def test_zero_symbols_leave_only_noise(self):
-        h = dataset_channel(SMALL, 3)
-        f = gmd(h, 2)
-        y = transmit(h, f.r1, f.w1, np.zeros(2), 1.0, np.random.default_rng(7))
-        assert np.linalg.norm(y) > 0
+        ens = draw_ensemble(SMALL, 20, seed=3, point=0)
+        _, noise = draw_payload(SMALL, 20, seed=3, point=0)
+        y = link(ens.h, ens.r1, ens.w1, np.zeros((20, 2)), noise)
+        assert np.all(np.linalg.norm(y, axis=1) > 0)
 
     def test_combined_noise_second_moment(self):
         # E||B^H n||^2 = sigma^2 * trace(B^H B) over many draws
         h = dataset_channel(SMALL, 4)
         f = gmd(h, 2)
         sigma = 1.7
-        rng = np.random.default_rng(8)
-        acc = 0.0
         n_draws = 10_000
-        for _ in range(n_draws):
-            y = transmit(h, f.r1, f.w1, np.zeros(2), sigma, rng)
-            acc += np.linalg.norm(y) ** 2
+        _, noise = draw_payload(SMALL, n_draws, seed=8, point=0)
+        y = link(h, f.r1, f.w1, np.zeros((n_draws, 2)), sigma * noise)
         expected = sigma**2 * np.trace(f.w1.conj().T @ f.w1).real
-        assert acc / n_draws == pytest.approx(expected, rel=0.05)
+        assert np.mean(np.linalg.norm(y, axis=1) ** 2) == pytest.approx(expected, rel=0.05)
 
-    def test_power_budget_enforced(self):
-        h = dataset_channel(SMALL, 5)
-        f = gmd(h, 2)
-        with pytest.raises(ValueError):
-            transmit(h, 2.0 * f.r1, f.w1, np.zeros(2), 0.0, np.random.default_rng(0))
+    def test_power_budget_enforced(self, monkeypatch):
+        def doubled(r1):
+            f = phase_projection_baseline(r1)
+            return HybridFactors(analog=f.analog, digital=2.0 * f.digital)
+
+        monkeypatch.setattr(simulate, "phase_projection_baseline", doubled)
+        ens = draw_ensemble(SMALL, 5, seed=5, point=0)
+        with pytest.raises(ValueError, match="phase_projection precoder .* over the budget ns=2"):
+            build_scheme_factors("phase_projection", ens, SMALL)
+        with pytest.raises(ValueError, match="phase_projection"):
+            ber_curve(["fully_digital_gmd", "phase_projection"], [0.0], 5, SMALL, seed=5)
 
 
 class TestSicDetect:
@@ -116,12 +127,11 @@ class TestSicDetect:
         n_trials = 25_000  # 100k bits at 4 bits per trial
         sigma = noise_sigma_for_snr(40.0, 2)
         ens = draw_ensemble(DIMS, n_trials, seed=123, point=0)
-        s = qpsk_map(ens.bits)
-        noise = sigma * ens.noise
-        y = (ens.q1 @ s[..., None])[..., 0]
-        y += (np.conj(np.swapaxes(ens.w1, 1, 2)) @ noise[..., None])[..., 0]
-        s_hat = sic_detect(ens.q1, y)
-        errors = int(np.sum(qpsk_demap(s_hat) != ens.bits))
+        bits, noise = draw_payload(DIMS, n_trials, seed=123, point=0)
+        y = link(ens.h, ens.r1, ens.w1, qpsk_map(bits), sigma * noise)
+        q = np.conj(np.swapaxes(ens.w1, 1, 2)) @ ens.h @ ens.r1
+        s_hat = sic_detect(np.triu(q), y)
+        errors = int(np.sum(qpsk_demap(s_hat) != bits))
         assert errors / (n_trials * 4) < 1e-4
 
     def test_zero_diagonal_rejected(self):
@@ -141,6 +151,28 @@ class TestDrawEnsemble:
             assert np.array_equal(a, getattr(threaded, f.name)), f.name
             assert np.array_equal(a[:1000], getattr(short, f.name)), f.name
             assert np.array_equal(a[:1500], getattr(across, f.name)), f.name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rank_deficient_trial_is_named(self, monkeypatch, threads):
+        real = simulate.generate_channel
+
+        def deficient_at_1030(*args):
+            h = real(*args)
+            if len(h) != simulate._SETUP_CHUNK:  # the second chunk starts at trial 1024
+                h[1030 - 1024] = np.outer(h[0, :, 0], h[0, 0, :])
+            return h
+
+        monkeypatch.setattr(simulate, "generate_channel", deficient_at_1030)
+        with pytest.raises(RankDeficiencyError, match="point 3, trial 1030") as info:
+            draw_ensemble(DIMS, 1100, seed=21, point=3, threads=threads)
+        assert info.value.index == 1030
+
+    def test_fields_are_what_curves_read(self):
+        assert [f.name for f in fields(PointEnsemble)] == ["h", "u", "v", "w1", "r1", "factor_seeds"]
+        ens = draw_ensemble(DIMS, 10, seed=21, point=3)
+        f = gmd(ens.h, DIMS.ns)
+        assert ens.u.shape == (10, DIMS.nr, DIMS.ns) and ens.v.shape == (10, DIMS.nt, DIMS.ns)
+        assert np.array_equal(ens.w1, f.w1) and np.array_equal(ens.r1, f.r1)
 
     def test_points_draw_different_streams(self):
         a = draw_ensemble(DIMS, 10, seed=21, point=3)
@@ -232,11 +264,12 @@ class TestSharedEnsemble:
 
     @pytest.mark.parametrize("point", [0, 1, 5])
     def test_payload_equals_point_draw(self, point):
-        ens = draw_ensemble(DIMS, 1500, seed=32, point=point)
+        # the chunked decode equals one decode of the point's 1500 blocks
+        bits_ref, noise_ref = _payload(*_trial_words(DIMS, 32, point, 0, 1500)[4:7])
         for threads in (1, 4):
             bits, noise = draw_payload(DIMS, 1500, seed=32, point=point, threads=threads)
-            assert np.array_equal(bits, ens.bits)
-            assert np.array_equal(noise, ens.noise)
+            assert np.array_equal(bits, bits_ref)
+            assert np.array_equal(noise, noise_ref)
 
     def test_points_use_point_zero_channels_and_their_own_payload(self):
         grid = [0.0, 3.0, 6.0]
@@ -245,10 +278,9 @@ class TestSharedEnsemble:
         comb_h = np.conj(np.swapaxes(channels.w1, 1, 2))
         q = comb_h @ channels.h @ channels.r1
         for point, snr in enumerate(grid):
-            payload = draw_ensemble(DIMS, 800, seed=33, point=point)
-            noise = noise_sigma_for_snr(snr, DIMS.ns) * payload.noise
-            y = (q @ qpsk_map(payload.bits)[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
-            errors = np.sum(qpsk_demap(sic_detect(np.triu(q), y)) != payload.bits)
+            bits, noise = draw_payload(DIMS, 800, seed=33, point=point)
+            y = link(channels.h, channels.r1, channels.w1, qpsk_map(bits), noise_sigma_for_snr(snr, DIMS.ns) * noise)
+            errors = np.sum(qpsk_demap(sic_detect(np.triu(q), y)) != bits)
             assert curve.errors[point] == errors
 
     def test_one_draw_and_one_factorization_per_sgd_scheme(self, monkeypatch):
@@ -283,6 +315,17 @@ class TestSharedEnsemble:
     def test_bare_string_rejected(self):
         with pytest.raises(ValueError, match="sequence"):
             ber_curve("fully_digital_gmd", [0.0], 10, DIMS, seed=0)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(1, 3 * simulate._SETUP_CHUNK), st.integers(2, 3))
+    def test_errors_do_not_depend_on_threads(self, trials, threads):
+        # 1 to 3 chunks of trials; sgd_hybrid reads the chunks' factorization seeds
+        schemes = ("fully_digital_svd", "sgd_hybrid", "phase_projection")
+        kwargs = dict(cfg=FactorizeConfig(learning_rate=0.02, max_iters=10, tolerance=0.0))
+        one = ber_curve(schemes, [-5.0, 5.0], trials, SMALL, seed=37, threads=1, **kwargs)
+        many = ber_curve(schemes, [-5.0, 5.0], trials, SMALL, seed=37, threads=threads, **kwargs)
+        for a, b in zip(one, many):
+            assert np.array_equal(a.errors, b.errors), a.scheme
 
 
 @st.composite
@@ -348,8 +391,7 @@ class TestNoiselessLoopback:
         if res.loss_trace[-1] >= 1e-3:
             pytest.skip("factorization did not reach the loopback accuracy gate")
         bits = rng.integers(0, 2, 4)
-        s = qpsk_map(bits)
-        y = transmit(h, res.factors.product, f.w1, s, 0.0, rng)
+        y = link(h, res.factors.product, f.w1, qpsk_map(bits), np.zeros(DIMS.nr))
         q_eff = np.triu(f.w1.conj().T @ h @ res.factors.product)
         np.testing.assert_array_equal(qpsk_demap(sic_detect(q_eff, y)), bits)
 
