@@ -198,8 +198,6 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
             f"{at('ns', 'nr_rf', 'nr')}dimension rule violated ({DIMENSION_RULES}): "
             f"ns={cfg.ns}, nr_rf={cfg.nr_rf}, nr={cfg.nr}"
         )
-    if cfg.ns > min(cfg.nt, cfg.nr):
-        raise ConfigError(f"{at('ns', 'nt', 'nr')}ns={cfg.ns} exceeds min(nt, nr)={min(cfg.nt, cfg.nr)}")
     if cfg.kind != "gmd-check" and cfg.p_nlos + 1 < cfg.ns:
         # a channel of p_nlos + 1 paths has rank at most p_nlos + 1
         raise ConfigError(
@@ -207,11 +205,9 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
             f"got p_nlos={cfg.p_nlos}, ns={cfg.ns}"
         )
     if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
+        raise ConfigError(f"{at('trials')}trials must be >= 1, got {cfg.trials}")
     if cfg.threads < 0:
-        raise ConfigError(f"threads must be >= 0 (0 = auto), got {cfg.threads}")
+        raise ConfigError(f"{at('threads')}threads must be >= 0 (0 = auto), got {cfg.threads}")
     if not cfg.spacing_ratio > 0:
         raise ConfigError(f"{at('spacing_ratio')}spacing_ratio must be > 0, got {cfg.spacing_ratio}")
     if cfg.noise_sigma < 0:
@@ -227,35 +223,35 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
     if cfg.kind in ("ber", "se"):
         for s in cfg.schemes:
             if s not in SCHEME_IDS:
-                raise ConfigError(f"unknown scheme {s!r}, expected one of {SCHEME_IDS}")
+                raise ConfigError(f"{at('schemes')}unknown scheme {s!r}, expected one of {SCHEME_IDS}")
         if not cfg.snr_grid_db:
             raise ConfigError(f"{cfg.kind} requires a non-empty snr_grid_db")
     if cfg.kind == "mse":
         for s in cfg.schemes:
             if s not in MSE_METHODS:
-                raise ConfigError(
-                    f"mse schemes must be among {MSE_METHODS}, got {s!r}"
-                )
+                raise ConfigError(f"{at('schemes')}mse schemes must be among {MSE_METHODS}, got {s!r}")
     if cfg.kind == "train" and cfg.max_iters < 1:
         # zero steps give an empty history: no loss to report, no trained model
         raise ConfigError(f"{at('max_iters')}train requires max_iters >= 1, got {cfg.max_iters}")
     if cfg.kind == "complexity-bench":
         if len(cfg.nt_sweep) < 2:
-            raise ConfigError("complexity-bench requires at least two nt_sweep values")
+            raise ConfigError(f"{at('nt_sweep')}complexity-bench requires at least two nt_sweep values")
         if cfg.bench_iters < 1:
             # zero iterations would time a factorization that does no work
             raise ConfigError(f"{at('bench_iters')}bench_iters must be >= 1, got {cfg.bench_iters}")
         for nt in cfg.nt_sweep:
             if not cfg.ns <= cfg.nt_rf <= nt:
                 raise ConfigError(
-                    f"dimension rule violated ({DIMENSION_RULES}) at sweep nt={nt}: "
+                    f"{at('ns', 'nt_rf', 'nt_sweep')}dimension rule violated ({DIMENSION_RULES}) at sweep nt={nt}: "
                     f"ns={cfg.ns}, nt_rf={cfg.nt_rf}"
                 )
     try:
         cfg.factorize_config()
         cfg.dims()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # each message opens with the field it rejects; FactorizeConfig's batch is batch_size
+        key = str(exc).split()[0]
+        raise ConfigError(f"{at('batch_size' if key == 'batch' else key)}{exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -344,46 +340,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
     threads = _resolve_threads(cfg.threads)
     try:
         t0 = time.perf_counter()
-        if cfg.kind == "ber":
+        if cfg.kind in ("ber", "se"):
             net = _model_for(cfg, Path(config_dir), stages, extra)
-            curves = ber_curve(
+            curves = (ber_curve if cfg.kind == "ber" else se_curve)(
                 cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
                 cfg=cfg.factorize_config(), net=net, threads=threads,
             )
-            rows = [
-                [snr, curve.scheme, ber, ci, cfg.trials]
-                for curve in curves
-                for snr, ber, ci in zip(curve.snr_db, curve.ber, curve.ci_halfwidth)
-            ]
-            csv_path = out_dir / "ber.csv"
-            _write_csv(csv_path, ["snr_db", "scheme", "ber", "ci_halfwidth", "trials"], rows)
-            outputs.append(csv_path)
-            outputs.append(emit_plot_script(csv_path))
-        elif cfg.kind == "se":
-            net = _model_for(cfg, Path(config_dir), stages, extra)
-            curves = se_curve(
-                cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
-                cfg=cfg.factorize_config(), net=net, threads=threads,
-            )
-            rows = [
-                [snr, curve.scheme, se]
-                for curve in curves
-                for snr, se in zip(curve.snr_db, curve.bits_per_s_hz)
-            ]
-            csv_path = out_dir / "se.csv"
-            _write_csv(csv_path, ["snr_db", "scheme", "bits_per_s_hz"], rows)
-            outputs.append(csv_path)
-            outputs.append(emit_plot_script(csv_path))
+            if cfg.kind == "ber":
+                header = ["snr_db", "scheme", "ber", "ci_halfwidth", "trials"]
+                rows = [
+                    [snr, curve.scheme, ber, ci, cfg.trials]
+                    for curve in curves
+                    for snr, ber, ci in zip(curve.snr_db, curve.ber, curve.ci_halfwidth)
+                ]
+            else:
+                header = ["snr_db", "scheme", "bits_per_s_hz"]
+                rows = [[snr, curve.scheme, se] for curve in curves for snr, se in zip(curve.snr_db, curve.bits_per_s_hz)]
+            _write_curve(out_dir, cfg.kind, header, rows, outputs)
         elif cfg.kind == "mse":
             channels = draw_channels(cfg.dims(), cfg.trials, cfg.seed, DATASET_STREAM)
             rows = []
             for method in cfg.schemes:
                 curve = mse_vs_iterations(method, channels, cfg.dims(), cfg.factorize_config())
                 rows.extend([it, method, mse] for it, mse in zip(curve.iteration, curve.mse))
-            csv_path = out_dir / "mse.csv"
-            _write_csv(csv_path, ["iteration", "scheme", "mse"], rows)
-            outputs.append(csv_path)
-            outputs.append(emit_plot_script(csv_path))
+            _write_curve(out_dir, "mse", ["iteration", "scheme", "mse"], rows, outputs)
         elif cfg.kind == "gmd-check":
             csv_path, max_diag, max_recon = _run_gmd_check(cfg, out_dir)
             outputs.append(csv_path)
@@ -424,34 +404,33 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _run_gmd_check(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, float, float]:
     """GMD invariants on random complex matrices; prints the worst deviations."""
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    max_diag = max_recon = max_orth = 0.0
-    for i in range(cfg.trials):
-        m = rng.standard_normal((cfg.nr, cfg.nt)) + 1j * rng.standard_normal((cfg.nr, cfg.nt))
-        f = gmd(m, cfg.ns)
-        diag_dev = float(np.max(np.abs(np.diag(f.q1).real - f.sigma_bar)) / f.sigma_bar)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        m_ns = (u[:, : cfg.ns] * s[: cfg.ns]) @ vh[: cfg.ns]
-        recon = float(np.linalg.norm(f.reconstruct() - m_ns) / np.linalg.norm(m_ns))
-        eye = np.eye(cfg.ns)
-        orth = float(
-            max(
-                np.linalg.norm(f.w1.conj().T @ f.w1 - eye),
-                np.linalg.norm(f.r1.conj().T @ f.r1 - eye),
-            )
-        )
-        rows.append([i, diag_dev, recon, orth])
-        max_diag = max(max_diag, diag_dev)
-        max_recon = max(max_recon, recon)
-        max_orth = max(max_orth, orth)
+    # matrix i takes the real part, then the imaginary part, from the stream
+    parts = np.random.default_rng(cfg.seed).standard_normal((cfg.trials, 2, cfg.nr, cfg.nt))
+    m = parts[:, 0] + 1j * parts[:, 1]
+    ns = cfg.ns
+    f = gmd(m, ns)
+    diag_dev = np.max(np.abs(np.diagonal(f.q1, axis1=1, axis2=2).real - f.sigma_bar[:, None]), axis=1) / f.sigma_bar
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    m_ns = (u[:, :, :ns] * s[:, None, :ns]) @ vh[:, :ns]
+    rec_diff = f.reconstruct() - m_ns
+    eye = np.eye(ns)
+    w1_dev = np.conj(np.swapaxes(f.w1, 1, 2)) @ f.w1 - eye
+    r1_dev = np.conj(np.swapaxes(f.r1, 1, 2)) @ f.r1 - eye
+    rows = [
+        [
+            i,
+            float(diag_dev[i]),
+            float(np.linalg.norm(rec_diff[i]) / np.linalg.norm(m_ns[i])),
+            float(max(np.linalg.norm(w1_dev[i]), np.linalg.norm(r1_dev[i]))),
+        ]
+        for i in range(cfg.trials)
+    ]
+    max_diag, max_recon, max_orth = (max(0.0, *(row[k] for row in rows)) for k in (1, 2, 3))
     csv_path = out_dir / "gmd_check.csv"
     _write_csv(csv_path, ["index", "diag_dev", "recon_err", "orth_dev"], rows)
     print(f"max_diag_dev={max_diag:.3e} max_recon_err={max_recon:.3e} max_orth_dev={max_orth:.3e}")
@@ -510,34 +489,24 @@ _GNUPLOT_AXES = {
 }
 
 
-def emit_plot_script(csv_path: str | Path) -> Path:
-    """Write a standalone gnuplot script next to a results CSV.
+def _write_curve(out_dir: Path, kind: str, header: list[str], rows: list[list], outputs: list[Path]) -> None:
+    """Write ``<kind>.csv`` and a standalone gnuplot script ``<kind>.gp`` next to it.
 
-    Pure text templating: the script references only columns that exist in
-    the CSV header, uses logarithmic y axes for BER (and MSE) data and
-    linear axes otherwise. No plotting dependency is needed here; gnuplot
-    renders the file later.
+    Both come from the same header and rows, so the script references only
+    columns that exist in the CSV, one line per scheme, with a logarithmic y
+    axis for BER and MSE and linear axes for SE. No plotting dependency is
+    needed here; gnuplot renders the file later. Each file joins ``outputs``
+    as soon as it is written.
     """
-    csv_path = Path(csv_path)
-    if not csv_path.is_file():
-        raise FileNotFoundError(f"CSV not found: {csv_path}")
-    lines = csv_path.read_text().splitlines()
-    header = lines[0].split(",")
-    kind = csv_path.stem.split("_")[0]
-    if kind not in _GNUPLOT_AXES:
-        raise ValueError(f"no plot template for {csv_path.name!r}")
+    csv_path = out_dir / f"{kind}.csv"
+    _write_csv(csv_path, header, rows)
+    outputs.append(csv_path)
     x_col, y_col, scale_cmd = _GNUPLOT_AXES[kind]
-    for col in (x_col, y_col, "scheme"):
-        if col not in header:
-            raise ValueError(f"column {col!r} missing from {csv_path.name} header {header}")
-    x_idx = header.index(x_col) + 1
-    y_idx = header.index(y_col) + 1
-    scheme_idx = header.index("scheme") + 1
-    schemes = sorted({line.split(",")[scheme_idx - 1] for line in lines[1:]})
+    x_idx, y_idx, scheme_idx = (header.index(col) + 1 for col in (x_col, y_col, "scheme"))
     plots = ", \\\n  ".join(
         f"'{csv_path.name}' using (strcol({scheme_idx}) eq '{s}' ? ${x_idx} : NaN):{y_idx} "
         f"with linespoints title '{s}'"
-        for s in schemes
+        for s in sorted({row[scheme_idx - 1] for row in rows})
     )
     script = "\n".join(
         [
@@ -547,14 +516,14 @@ def emit_plot_script(csv_path: str | Path) -> Path:
             f"set ylabel '{y_col}'",
             scale_cmd,
             "set terminal pngcairo size 900,600",
-            f"set output '{csv_path.stem}.png'",
+            f"set output '{kind}.png'",
             f"plot {plots}",
             "",
         ]
     )
-    out = csv_path.with_suffix(".gp")
-    out.write_text(script)
-    return out
+    gp_path = csv_path.with_suffix(".gp")
+    gp_path.write_text(script)
+    outputs.append(gp_path)
 
 
 def main(argv: list[str] | None = None) -> int:

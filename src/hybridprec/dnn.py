@@ -10,7 +10,7 @@ the finite-difference gradient audits are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from hybridprec.precoder import (
 
 ACTIVATIONS = ("relu", "clamp", "linear")
 
-MLP_FORMAT_VERSION = 1
+MLP_FORMAT_VERSION = 2
 
 DEFAULT_NOISE_SIGMA = 0.1
 
@@ -83,22 +83,15 @@ class PrecoderCodec:
         digital = (tail[..., :n_d] + 1j * tail[..., n_d:]).reshape(lead + (self.nt_rf, self.ns))
         return phases, digital
 
-    def encode(self, phases: np.ndarray, digital: np.ndarray) -> np.ndarray:
-        head = np.asarray(phases, dtype=float).reshape(-1) * (self.ns / (2.0 * np.pi))
-        tail = np.concatenate([digital.real.reshape(-1), digital.imag.reshape(-1)]) + self.ns / 2.0
-        return np.concatenate([head, tail])
-
 
 @dataclass
 class Mlp:
-    """Layered perceptron: specs plus per-layer weights, biases and velocities."""
+    """Layered perceptron: specs plus per-layer weights and biases."""
 
     input_dim: int
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    w_velocities: list[np.ndarray] = field(default_factory=list)
-    b_velocities: list[np.ndarray] = field(default_factory=list)
     clamp_max: float = 1.0
     codec: PrecoderCodec | None = None
 
@@ -107,14 +100,6 @@ class Mlp:
         for i, w in enumerate(self.weights):
             if w.shape != (dims[i], dims[i + 1]):
                 raise ValueError(f"weight {i} shape {w.shape} != {(dims[i], dims[i + 1])}")
-        if not self.w_velocities:
-            self.w_velocities = [np.zeros_like(w) for w in self.weights]
-            self.b_velocities = [np.zeros_like(b) for b in self.biases]
-
-    @property
-    def n_layers(self) -> int:
-        """Layer count including the input layer."""
-        return len(self.specs) + 1
 
     @property
     def output_dim(self) -> int:
@@ -430,6 +415,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
 
     Samples are shuffled into batches of ``cfg.batch`` each epoch; ``cfg.max_iters``
     caps the total number of SGD steps, each of which updates ``net`` in place.
+    The momentum velocities start at zero and live only for this call.
     The history holds one entry per epoch: the mean root loss over the train
     split, evaluated noise-free and loss-only (no backward pass), so a zero
     learning rate yields a constant history. Stops early when the windowed
@@ -442,6 +428,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     feats = data.features[: data.n_train]
     targets = data.targets[: data.n_train]
     rng = np.random.default_rng(cfg.seed)
+    velocities = [np.zeros_like(p) for p in net.weights + net.biases]
     history = []
     steps = 0
     epoch = 0
@@ -456,7 +443,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
             sgd_momentum_step(
                 net.weights + net.biases,
                 d_weights + d_biases,
-                net.w_velocities + net.b_velocities,
+                velocities,
                 alpha=cfg.momentum,
                 epsilon=cfg.learning_rate,
             )
@@ -483,7 +470,7 @@ def infer_precoders(net: Mlp, h: np.ndarray) -> HybridFactors:
 
 
 def save_mlp(net: Mlp, path: str) -> None:
-    """Serialize the network to one self-describing .npz file (bit-exact round trip)."""
+    """Serialize the network's weights and biases to one self-describing .npz file (bit-exact round trip)."""
     payload = {
         "format_version": np.array(MLP_FORMAT_VERSION),
         "input_dim": np.array(net.input_dim),
@@ -495,13 +482,9 @@ def save_mlp(net: Mlp, path: str) -> None:
             [net.codec.nt, net.codec.nt_rf, net.codec.ns] if net.codec else [-1, -1, -1]
         ),
     }
-    for i, (w, b, vw, vb) in enumerate(
-        zip(net.weights, net.biases, net.w_velocities, net.b_velocities)
-    ):
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{i}"] = w
         payload[f"b{i}"] = b
-        payload[f"vw{i}"] = vw
-        payload[f"vb{i}"] = vb
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
 
@@ -528,8 +511,6 @@ def load_mlp(path: str) -> Mlp:
             specs=specs,
             weights=[data[f"w{i}"] for i in range(n)],
             biases=[data[f"b{i}"] for i in range(n)],
-            w_velocities=[data[f"vw{i}"] for i in range(n)],
-            b_velocities=[data[f"vb{i}"] for i in range(n)],
             clamp_max=float(data["clamp_max"]),
             codec=codec,
         )

@@ -131,24 +131,24 @@ def sic_detect(q1: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Detects the last stream first (its row has a single term), slices it to
     the nearest QPSK point, cancels its contribution from the rows above,
-    and proceeds upward. Only the upper triangle of q1 is consulted. Accepts
-    a batch as (b, ns, ns) matrices with (b, ns) observations.
+    and proceeds upward. Only the upper triangle of q1 is consulted.
+    Observations ``y`` (..., ns) may carry any leading dimensions, and the
+    (..., ns, ns) matrices broadcast against them: one matrix for all
+    observations, one per observation, or one per trial of a (points,
+    trials, ns) stack.
     """
     q1 = np.asarray(q1)
     y = np.asarray(y)
     ns = q1.shape[-1]
     if np.any(np.abs(np.diagonal(q1, axis1=-2, axis2=-1)) == 0):
         raise ValueError("sic_detect requires a nonzero diagonal")
-    batched = y.ndim == 2
-    yb = y if batched else y.reshape(1, -1)
-    qb = q1 if q1.ndim == 3 else np.broadcast_to(q1, (yb.shape[0],) + q1.shape)
-    s_hat = np.empty_like(yb)
+    s_hat = np.empty_like(y)
     for i in range(ns - 1, -1, -1):
-        residual = yb[:, i].copy()
+        residual = y[..., i].copy()
         for k in range(i + 1, ns):
-            residual -= qb[:, i, k] * s_hat[:, k]
-        s_hat[:, i] = qpsk_slice(residual / qb[:, i, i])
-    return s_hat if batched else s_hat[0]
+            residual -= q1[..., i, k] * s_hat[..., k]
+        s_hat[..., i] = qpsk_slice(residual / q1[..., i, i])
+    return s_hat
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def spectral_efficiency(
     h: np.ndarray,
     precoder: np.ndarray,
     combiner: np.ndarray,
-    snr_db: float,
+    snr_db: float | np.ndarray,
 ) -> float | np.ndarray:
     """Gaussian-signaling rate log2 det(I + Rn^-1 Heff Heff^H), bits/s/Hz.
 
@@ -346,15 +346,21 @@ def spectral_efficiency(
     the combined noise; the precoder carries the transmit power (trace
     budget ns), so no extra power factor appears. ``h`` is one channel, or a
     (b, nr, nt) stack of channel matrices with (b, nt, ns) precoders and
-    (b, nr, ns) combiners, which gives the b rates as an array.
+    (b, nr, ns) combiners, which gives the b rates as an array. ``snr_db``
+    is one SNR or a 1-D grid, which prepends an axis of points to the
+    rates; the SNR-independent products Heff, Heff Heff^H and
+    combiner^H combiner are formed once for the whole grid.
     """
     comb_h = np.conj(np.swapaxes(combiner, -1, -2))
     heff = comb_h @ np.asarray(h) @ precoder
+    gram = heff @ np.conj(np.swapaxes(heff, -1, -2))
+    cov = comb_h @ combiner
     ns = precoder.shape[-1]
-    sigma2 = ns * 10.0 ** (-snr_db / 10.0)
-    rn = sigma2 * (comb_h @ combiner)
+    snr_db = np.asarray(snr_db, dtype=float)
+    sigma2 = np.array([ns * 10.0 ** (-float(snr) / 10.0) for snr in snr_db.ravel()])
+    rn = sigma2.reshape(snr_db.shape + (1,) * cov.ndim) * cov
     try:
-        m = np.linalg.solve(rn, heff @ np.conj(np.swapaxes(heff, -1, -2)))
+        m = np.linalg.solve(rn, gram)
     except np.linalg.LinAlgError as exc:
         raise ValueError("noise covariance is singular (rank-deficient combiner)") from exc
     if not np.all(np.isfinite(m)):
@@ -386,10 +392,8 @@ def se_curve(
     curves = []
     for scheme in schemes:
         precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
-        means = [
-            float(np.mean(spectral_efficiency(ensemble.h, precoders, combiners, float(snr))))
-            for snr in snr_grid_db
-        ]
+        rates = spectral_efficiency(ensemble.h, precoders, combiners, snr_grid_db)
+        means = [float(np.mean(point_rates)) for point_rates in rates]
         curves.append(
             SeCurve(scheme=scheme, snr_db=snr_grid_db, bits_per_s_hz=np.asarray(means), channels=n_channels)
         )

@@ -7,7 +7,6 @@ import pytest
 from hybridprec.cli import (
     ConfigError,
     ExperimentConfig,
-    emit_plot_script,
     main,
     parse_config,
     run_experiment,
@@ -114,6 +113,18 @@ class TestParseConfig:
             ("train", "seed = 1\ntrain_size = 0\n", "train_size >= 1"),
             ("se", "schemes = dnn_hybrid\ntrain_size = 0\n", "train_size >= 1"),
             ("train", "seed = 1\nnoise_sigma = -0.1\n", "noise_sigma must be >= 0"),
+            ("ber", "seed = 1\nlearning_rate = -0.1\n", "learning_rate must be >= 0"),
+            ("mse", "seed = 1\nmomentum = 1.0\n", r"momentum must be in \[0, 1\)"),
+            ("se", "seed = 1\nmax_iters = -1\n", "max_iters must be >= 0"),
+            ("ber", "seed = 1\ntolerance = -1e-3\n", "tolerance must be >= 0"),
+            ("train", "seed = 1\nbatch_size = 0\n", "batch must be >= 1"),
+            ("ber", "seed = 1\ntrials = 0\n", "trials must be >= 1"),
+            ("se", "seed = 1\nthreads = -1\n", "threads must be >= 0"),
+            ("ber", "seed = 1\nschemes = fully_digital_gmd, bogus\n", "unknown scheme 'bogus'"),
+            ("se", "seed = 1\nschemes = bogus\n", "unknown scheme 'bogus'"),
+            ("mse", "seed = 1\nschemes = sgd_hybrid, fully_digital_gmd\n", "mse schemes must be among"),
+            ("complexity-bench", "seed = 1\nnt_sweep = 16\n", "at least two nt_sweep values"),
+            ("complexity-bench", "seed = 1\nnt_sweep = 16, 2\n", "dimension rule violated .* at sweep nt=2"),
         ],
     )
     def test_bad_value_rejected_with_line_number(self, tmp_path, kind, text, message):
@@ -367,10 +378,6 @@ class TestPlotScript:
         script = (tmp_path / "out" / "se.gp").read_text()
         assert "unset logscale" in script
         assert "set logscale" not in script.replace("unset logscale", "")
-
-    def test_missing_csv_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            emit_plot_script(tmp_path / "ber.csv")
 
 
 class TestMainEntry:

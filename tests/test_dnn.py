@@ -42,7 +42,8 @@ class TestArchitecture:
     def test_layer_count_including_input(self):
         specs = default_architecture(64, 48)
         net = build_mlp(64, specs, clamp_max=2.0, seed=0)
-        assert net.n_layers == 8
+        # eight layers counting the input: one weight matrix and bias per layer after it
+        assert len(net.weights) == len(net.biases) == 7
 
     def test_noise_layer_position_and_sigma(self):
         specs = default_architecture(64, 48, noise_sigma=0.2)
@@ -493,8 +494,9 @@ class TestTrain:
 
 def reference_train(net, data, cfg):
     """The training loop as first written: batches stacked from the samples at
-    every step, an allocating momentum update, and a per-epoch evaluation that
-    also ran the backward pass and discarded its gradients."""
+    every step, an allocating momentum update from zero velocities, and a
+    per-epoch evaluation that also ran the backward pass and discarded its
+    gradients."""
     codec = net.codec
 
     def loss_and_grad(batch, mode, rng):
@@ -522,6 +524,7 @@ def reference_train(net, data, cfg):
     rng = np.random.default_rng(cfg.seed)
     history, steps, epoch = [], 0, 0
     n_w = len(net.weights)
+    velocities = [np.zeros_like(p) for p in net.weights + net.biases]
     while steps < cfg.max_iters:
         epoch += 1
         order = rng.permutation(len(train_split))
@@ -532,11 +535,10 @@ def reference_train(net, data, cfg):
             _, d_weights, d_biases = loss_and_grad(batch, "train", rng)
             velocities = [
                 cfg.momentum * v - cfg.learning_rate * g
-                for v, g in zip(net.w_velocities + net.b_velocities, d_weights + d_biases)
+                for v, g in zip(velocities, d_weights + d_biases)
             ]
             params = [p + v for p, v in zip(net.weights + net.biases, velocities)]
             net.weights, net.biases = params[:n_w], params[n_w:]
-            net.w_velocities, net.b_velocities = velocities[:n_w], velocities[n_w:]
             steps += 1
         eval_loss, _, _ = loss_and_grad(train_split, "infer", None)
         history.append(eval_loss)
@@ -546,7 +548,7 @@ def reference_train(net, data, cfg):
 
 
 class TestTrainMatchesReference:
-    """train() equals the first-written loop bit for bit: history, weights, biases, velocities."""
+    """train() equals the first-written loop bit for bit: history, weights and biases."""
 
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 
@@ -556,7 +558,7 @@ class TestTrainMatchesReference:
             build_precoder_mlp(self.dims, seed=2, noise_sigma=noise_sigma), data, cfg
         )
         np.testing.assert_array_equal(history, ref_history)
-        for name in ("weights", "biases", "w_velocities", "b_velocities"):
+        for name in ("weights", "biases"):
             for got, want in zip(getattr(net, name), getattr(ref, name)):
                 np.testing.assert_array_equal(got, want)
         return history
@@ -602,7 +604,13 @@ class TestCodecAndInference:
         rng = np.random.default_rng(10)
         o = rng.uniform(0, 2, codec.output_dim)  # in-range box point
         phases, digital = codec.decode(o)
-        np.testing.assert_allclose(codec.encode(phases, digital), o, atol=1e-12)
+        assert phases.shape == (8, 4) and digital.shape == (4, 2)
+        # the inverse map: phases scale back by ns / 2pi, digital parts shift by ns / 2
+        shift = codec.ns / 2
+        encoded = np.concatenate(
+            [phases.reshape(-1) * (codec.ns / (2 * np.pi)), digital.real.reshape(-1) + shift, digital.imag.reshape(-1) + shift]
+        )
+        np.testing.assert_allclose(encoded, o, atol=1e-12)
 
     def test_infer_constant_modulus_and_power(self):
         net = build_precoder_mlp(self.dims, seed=3)
@@ -642,6 +650,11 @@ class TestSerialization:
         assert loaded.codec == net.codec
         for w_a, w_b in zip(net.weights, loaded.weights):
             assert np.array_equal(w_a, w_b)
+        for b_a, b_b in zip(net.biases, loaded.biases):
+            assert np.array_equal(b_a, b_b)
+        with np.load(path) as saved:
+            assert int(saved["format_version"]) == 2
+            assert not [k for k in saved.files if k.startswith(("vw", "vb"))]
 
     def test_version_check(self, tmp_path):
         dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
@@ -656,4 +669,19 @@ class TestSerialization:
         with open(path, "wb") as fh:
             np_mod.savez(fh, **payload)
         with pytest.raises(ValueError):
+            load_mlp(str(path))
+
+    def test_version_1_file_refused(self, tmp_path):
+        # a version-1 file also held the momentum velocities vw*/vb*
+        net = build_precoder_mlp(SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2), seed=4)
+        path = tmp_path / "model.npz"
+        save_mlp(net, str(path))
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["format_version"] = np.array(1)
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            payload[f"vw{i}"], payload[f"vb{i}"] = np.zeros_like(w), np.zeros_like(b)
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match="unsupported model format version 1"):
             load_mlp(str(path))

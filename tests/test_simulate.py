@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hybridprec import simulate
 from hybridprec.channel import DATASET_STREAM, _trial_words, draw_channels, sample_path_params
-from hybridprec.decomp import RankDeficiencyError, gmd
+from hybridprec.decomp import RankDeficiencyError, gmd, svd
 from hybridprec.dnn import build_precoder_mlp
 from hybridprec.precoder import (
     FactorizeConfig,
@@ -137,6 +137,21 @@ class TestSicDetect:
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             sic_detect(np.array([[0.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+
+    def test_point_stack_equals_per_point_loop_bit_for_bit(self):
+        # (points, trials, ns) observations against one (ns, ns) matrix per trial
+        ens = draw_ensemble(DIMS, 300, seed=31, point=0)
+        q = np.triu(np.conj(np.swapaxes(ens.w1, 1, 2)) @ ens.h @ ens.r1)
+        ys = []
+        for point, snr_db in enumerate((-10.0, 0.0, 10.0)):
+            bits, noise = draw_payload(DIMS, 300, seed=31, point=point)
+            ys.append(link(ens.h, ens.r1, ens.w1, qpsk_map(bits), noise_sigma_for_snr(snr_db, 2) * noise))
+        stacked = sic_detect(q, np.stack(ys))
+        assert stacked.shape == (3, 300, 2)
+        for point, y in enumerate(ys):
+            np.testing.assert_array_equal(stacked[point], sic_detect(q, y))
+        # one observation vector against one matrix
+        np.testing.assert_array_equal(sic_detect(q[7], ys[0][7]), stacked[0, 7])
 
 
 class TestDrawEnsemble:
@@ -428,6 +443,24 @@ class TestSpectralEfficiency:
         bad = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ValueError):
             spectral_efficiency(h, np.eye(2, dtype=complex), bad, 0.0)
+
+    def test_grid_prepends_a_point_axis(self):
+        ens = draw_ensemble(DIMS, 6, seed=23, point=0)
+        grid = [-5.0, 5.0, 15.0]
+        rates = spectral_efficiency(ens.h, ens.r1, ens.w1, np.array(grid))
+        assert rates.shape == (3, 6)
+        for row, snr in zip(rates, grid):
+            np.testing.assert_array_equal(row, spectral_efficiency(ens.h, ens.r1, ens.w1, snr))
+
+    def test_svd_curve_matches_closed_form(self):
+        # fully digital SVD diagonalizes the channel: the rate of a channel is
+        # sum_i log2(1 + sigma_i^2 / sigma^2) over its ns singular values
+        grid = np.arange(-20.0, 20.5, 5.0)
+        curve = se_curve(["fully_digital_svd"], grid, 2000, DIMS, seed=42)[0]
+        sigma = svd(draw_ensemble(DIMS, 2000, seed=42, point=0).h, DIMS.ns).sigma
+        noise = DIMS.ns * 10.0 ** (-grid / 10.0)
+        expected = [np.mean(np.sum(np.log2(1.0 + sigma**2 / n), axis=1)) for n in noise]
+        np.testing.assert_allclose(curve.bits_per_s_hz, expected, rtol=1e-12, atol=0)
 
     def test_unconstrained_svd_dominates_hybrids(self):
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=600, tolerance=0.0, seed=0)
