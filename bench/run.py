@@ -22,6 +22,10 @@ Every row is the median of ``--repeats`` timed runs, measured with
   generator instead of a seed, and get ``default_rng(1)``);
 - ``mlp_train.s1500``: 1500 training steps of the precoder MLP, batch 20, on
   500 channels (the dataset is built once, outside the timing);
+- ``infer_precoders.c500``: one ``infer_precoders`` call of the stock
+  (untrained) precoder MLP on 500 dataset-stream channels, features through
+  decoded and power-normalized factors; each timed run is the mean of 20
+  calls;
 - ``cli_ber.t2000``: ``hybridprec ber`` on ``configs/ber.cfg`` at
   ``trials = 2000``, called in-process.
 
@@ -56,7 +60,8 @@ import numpy as np  # noqa: E402
 
 import hybridprec  # noqa: E402
 from hybridprec.cli import main as cli_main  # noqa: E402
-from hybridprec.dnn import build_dataset, build_precoder_mlp, train  # noqa: E402
+from hybridprec.channel import DATASET_STREAM, draw_channels  # noqa: E402
+from hybridprec.dnn import build_dataset, build_precoder_mlp, infer_precoders, train  # noqa: E402
 from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd, factorize_sgd_batch  # noqa: E402
 from hybridprec.simulate import draw_ensemble  # noqa: E402
 
@@ -67,6 +72,8 @@ SINGLE_ITERS = 600
 DRAW_TRIALS = 20000
 DATASET_SIZE = 500
 TRAIN_STEPS = 1500
+INFER_CHANNELS = 500
+INFER_CALLS = 20
 CLI_TRIALS = 2000
 PROBE_RUNS = 5
 PROBE_ITERS = 10
@@ -150,6 +157,17 @@ def train_row_factory():
     return run
 
 
+def infer_row_factory():
+    net = build_precoder_mlp(DIMS, seed=1)
+    channels = draw_channels(DIMS, INFER_CHANNELS, 1, DATASET_STREAM)
+
+    def calls():
+        for _ in range(INFER_CALLS):
+            infer_precoders(net, channels)
+
+    return lambda: timed(calls) / INFER_CALLS
+
+
 def cli_row_factory(work: Path):
     text = (ROOT / "configs" / "ber.cfg").read_text()
     lines = [f"trials = {CLI_TRIALS}" if line.startswith("trials") else line for line in text.splitlines()]
@@ -197,6 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         jobs.append((f"draw_ensemble.t{DRAW_TRIALS}", draw_row, {"trials": DRAW_TRIALS}))
         jobs.append((f"build_dataset.n{DATASET_SIZE}", dataset_row, {"samples": DATASET_SIZE}))
         jobs.append((f"mlp_train.s{TRAIN_STEPS}", train_row_factory(), {"steps": TRAIN_STEPS, "batch": 20}))
+        jobs.append((f"infer_precoders.c{INFER_CHANNELS}", infer_row_factory(), {"channels": INFER_CHANNELS, "calls": INFER_CALLS}))
         jobs.append((f"cli_ber.t{CLI_TRIALS}", cli_row_factory(Path(tmp)), {"config": "configs/ber.cfg"}))
         for name, fn, info in jobs:
             runs = [fn() for _ in range(args.repeats)]

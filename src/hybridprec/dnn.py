@@ -4,13 +4,22 @@ The network eats the vectorized real/imaginary parts of a channel matrix and
 emits a box-constrained vector that decodes into analog phases and digital
 precoder entries. Training minimizes the squared Frobenius mismatch between
 the GMD precoder target and the decoded analog/digital product, using the
-same momentum update as the direct factorization. Everything is float64 so
-the finite-difference gradient audits are meaningful.
+same momentum update as the direct factorization.
+
+Precision is split at the network's boundary. The stock network that
+:func:`build_precoder_mlp` builds holds float32 weights and biases
+(``PRECODER_DTYPE``), which halves the cost of its GEMMs and momentum
+updates; :func:`forward`, :func:`backward` and :func:`sgd_momentum_step`
+follow the dtype of the parameters they are given. Everything around the
+network stays float64/complex128: channels, features, GMD targets, the
+codec's decoded phases and digital entries, the loss, its gradient and the
+training history. :func:`build_mlp` builds float64 networks, so the
+finite-difference gradient audits of forward and backward are meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +40,9 @@ ACTIVATIONS = ("relu", "clamp", "linear")
 MLP_FORMAT_VERSION = 2
 
 DEFAULT_NOISE_SIGMA = 0.1
+
+# parameter dtype of the stock network of build_precoder_mlp
+PRECODER_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,12 @@ class PrecoderCodec:
 
 @dataclass
 class Mlp:
-    """Layered perceptron: specs plus per-layer weights and biases."""
+    """Layered perceptron: specs plus per-layer weights and biases.
+
+    Every weight and bias has one floating dtype, float32 or float64, which
+    is the network's :attr:`dtype`: the dtype its activations and gradients
+    are computed in.
+    """
 
     input_dim: int
     specs: tuple[LayerSpec, ...]
@@ -100,6 +117,17 @@ class Mlp:
         for i, w in enumerate(self.weights):
             if w.shape != (dims[i], dims[i + 1]):
                 raise ValueError(f"weight {i} shape {w.shape} != {(dims[i], dims[i + 1])}")
+        dtype = self.dtype
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"weight 0 dtype {dtype} is not float32 or float64")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            for name, a in ((f"weight {i}", w), (f"bias {i}", b)):
+                if a.dtype != dtype:
+                    raise ValueError(f"{name} dtype {a.dtype} != weight 0 dtype {dtype}")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
 
     @property
     def output_dim(self) -> int:
@@ -158,11 +186,20 @@ def build_mlp(
 def build_precoder_mlp(
     dims: SystemDims, seed: int = 0, noise_sigma: float = DEFAULT_NOISE_SIGMA
 ) -> Mlp:
-    """Stock network sized for a system: channel features in, codec box out."""
+    """Stock network sized for a system: channel features in, codec box out.
+
+    Its weights and biases are :func:`build_mlp`'s float64 draws rounded to
+    ``PRECODER_DTYPE`` (float32), so the initialization stream is the same.
+    """
     codec = PrecoderCodec(nt=dims.nt, nt_rf=dims.nt_rf, ns=dims.ns)
     input_dim = 2 * dims.nt * dims.nr
     specs = default_architecture(input_dim, codec.output_dim, noise_sigma=noise_sigma)
-    return build_mlp(input_dim, specs, clamp_max=float(dims.ns), seed=seed, codec=codec)
+    net = build_mlp(input_dim, specs, clamp_max=float(dims.ns), seed=seed, codec=codec)
+    return replace(
+        net,
+        weights=[w.astype(PRECODER_DTYPE) for w in net.weights],
+        biases=[b.astype(PRECODER_DTYPE) for b in net.biases],
+    )
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -184,12 +221,15 @@ def _clamp(x: np.ndarray, ns: float, out: np.ndarray | None = None) -> np.ndarra
 
 
 def noise_inject(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. zero-mean Gaussian distortion of standard deviation sigma."""
+    """Add i.i.d. zero-mean Gaussian distortion of standard deviation sigma.
+
+    The noise is drawn in float64 and added in ``x``'s dtype.
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return x
-    return x + rng.normal(0.0, sigma, size=x.shape)
+    return x + rng.normal(0.0, sigma, size=x.shape).astype(x.dtype, copy=False)
 
 
 def _apply_activation(
@@ -214,12 +254,17 @@ def forward(
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Run the composition of layers; returns (output, cache) for backprop.
 
-    ``v`` may be a single feature vector or a (batch, input_dim) matrix.
-    Noise layers fire only in ``mode="train"`` (which then requires ``rng``);
-    inference is deterministic.
+    ``v`` may be a single feature vector or a (batch, input_dim) matrix. The
+    first product casts it to the network's dtype, and the output and the
+    activations carry that dtype (a float64 ``v`` would otherwise promote a
+    float32 network's products to float64). Noise layers fire only in
+    ``mode="train"`` (which then requires ``rng``); inference is
+    deterministic.
 
-    The cache holds one ``(input, z)`` pair per layer, and each activation is
-    stored once: ``z`` is the layer's activation, computed in place over its
+    The cache holds one ``(input, z)`` pair per layer. The first layer's input
+    is ``v`` as given, so the cast copy lives only for the first product and
+    :func:`backward` casts ``v`` again. Each activation is stored once: ``z``
+    is the layer's activation, computed in place over its
     pre-activation, and it is also the next layer's input. Only a noise layer
     in training mode keeps its pre-activation as ``z``, because its output
     (activation plus noise) is a new array. :func:`backward` reads ``z``
@@ -228,7 +273,7 @@ def forward(
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
     squeeze = v.ndim == 1
     x = v.reshape(1, -1) if squeeze else v
     if x.shape[1] != net.input_dim:
@@ -237,7 +282,7 @@ def forward(
         raise ValueError("training mode with noise layers requires an rng")
     cache = []
     for spec, w, b in zip(net.specs, net.weights, net.biases):
-        z = x @ w
+        z = x.astype(w.dtype, copy=False) @ w
         z += b
         cache.append((x, z))
         if mode == "train" and spec.noise_sigma > 0:
@@ -256,13 +301,15 @@ def backward(
     """Reverse-mode gradients for every weight and bias.
 
     ``grad_out`` is dLoss/d(output), shaped like the forward output, and is
-    never written to. ``cache`` is the one :func:`forward` returned: each
-    layer's input and its activation (or, for a noise layer in training
-    mode, its pre-activation); the masks below read the same on either.
+    never written to; it is cast to the network's dtype, in which the
+    gradients are returned. ``cache`` is the one :func:`forward` returned: each
+    layer's input (cast to the network's dtype here) and its activation (or,
+    for a noise layer in training mode, its pre-activation); the masks below
+    read the same on either.
     ReLU takes subgradient 0 at 0; the clamp is flat outside (0, clamp_max);
     noise injection passes gradients through unchanged.
     """
-    grad_out = np.asarray(grad_out, dtype=float)
+    grad_out = np.asarray(grad_out, dtype=net.dtype)
     delta = grad_out.reshape(1, -1) if grad_out.ndim == 1 else grad_out
     owned = False  # delta is the caller's array until a product replaces it
     d_weights = [np.empty(0)] * len(net.weights)
@@ -282,7 +329,7 @@ def backward(
             else:
                 delta = delta * mask
                 owned = True
-        d_weights[i] = x_in.T @ delta
+        d_weights[i] = x_in.astype(delta.dtype, copy=False).T @ delta
         d_biases[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ net.weights[i].T
@@ -425,7 +472,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
         raise ValueError("training requires a network built with a precoder codec")
     if data.n_train < 1:
         raise ValueError("dataset has no training samples")
-    feats = data.features[: data.n_train]
+    feats = data.features[: data.n_train].astype(net.dtype, copy=False)
     targets = data.targets[: data.n_train]
     rng = np.random.default_rng(cfg.seed)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
@@ -463,7 +510,7 @@ def infer_precoders(net: Mlp, h: np.ndarray) -> HybridFactors:
     """
     if net.codec is None:
         raise ValueError("inference requires a network built with a precoder codec")
-    out, _ = forward(net, feature_vector(h), mode="infer")
+    out, _ = forward(net, feature_vector(h).astype(net.dtype, copy=False), mode="infer")
     phases, digital = net.codec.decode(out)
     analog = analog_from_phases(phases)
     return power_normalize(HybridFactors(analog=analog, digital=digital))
@@ -490,7 +537,12 @@ def save_mlp(net: Mlp, path: str) -> None:
 
 
 def load_mlp(path: str) -> Mlp:
-    """Rebuild a network saved by :func:`save_mlp`."""
+    """Rebuild a network saved by :func:`save_mlp`.
+
+    The weights and biases keep the dtype they were saved in: a float32
+    stock network loads as float32, a float64 file as float64. A file whose
+    arrays are not all of one float32 or float64 dtype is refused.
+    """
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
         if version != MLP_FORMAT_VERSION:

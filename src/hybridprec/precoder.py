@@ -319,7 +319,8 @@ def factorize_sgd_batch(
     ``seeds[i]`` seeds instance i (default: cfg.seed + i); a ``seeds`` whose
     length is not b raises ValueError.
 
-    Returns the power-normalized factors, the loss matrix (longest run + 1)
+    Returns the power-normalized factors (one batched normalization; factor
+    i holds views of the normalized stacks), the loss matrix (longest run + 1)
     x b, whose column i repeats instance i's final loss after its stop, and
     the final per-instance losses. Raises :class:`FactorizationDivergedError`
     when any instance ends with a non-finite loss or above its starting loss
@@ -327,7 +328,8 @@ def factorize_sgd_batch(
     turns into a BER figure.
     """
     analog, digital, trace = _momentum_sgd(r1_stack, nt_rf, cfg, seeds, optimize_digital)
-    factors = [power_normalize(HybridFactors(analog=a, digital=d)) for a, d in zip(analog, digital)]
+    stacked = power_normalize(HybridFactors(analog=analog, digital=digital))
+    factors = [HybridFactors(analog=a, digital=d) for a, d in zip(stacked.analog, stacked.digital)]
     return factors, trace, trace[-1]
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ import hybridprec.dnn as dnn_module
 from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import RankDeficiencyError, gmd
 from hybridprec.dnn import (
+    PRECODER_DTYPE,
     LayerSpec,
     PrecoderCodec,
+    _batch_loss_and_grad,
     backward,
     build_dataset,
     build_mlp,
@@ -268,7 +272,7 @@ class TestSingleActivationCopy:
         net = build_precoder_mlp(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), seed=0)
         x = np.random.default_rng(0).standard_normal((500, net.input_dim))
         forward(net, x[:2])
-        activation_bytes = 500 * sum(s.width for s in net.specs) * 8
+        activation_bytes = 500 * sum(s.width for s in net.specs) * net.dtype.itemsize
         tracemalloc.start()
         try:
             out, cache = forward(net, x, mode="infer")
@@ -624,7 +628,10 @@ class TestCodecAndInference:
         chans = draw_channels(self.dims, 5, 20, DATASET_STREAM)
         stacked = infer_precoders(net, chans)
         for i, h in enumerate(chans):
-            np.testing.assert_allclose(stacked.product[i], infer_precoders(net, h).product, rtol=0, atol=1e-12)
+            # float32 GEMMs round differently at different row counts
+            np.testing.assert_allclose(
+                stacked.product[i], infer_precoders(net, h).product, rtol=0, atol=16 * np.finfo(np.float32).eps
+            )
 
     def test_infer_single_forward_deterministic(self):
         net = build_precoder_mlp(self.dims, seed=3)
@@ -634,7 +641,117 @@ class TestCodecAndInference:
         assert np.array_equal(a.product, b.product)
 
 
+def upcast(net):
+    """The same network with its weights and biases converted to float64."""
+    return replace(net, weights=[w.astype(np.float64) for w in net.weights],
+                   biases=[b.astype(np.float64) for b in net.biases])
+
+
+class TestPrecision:
+    """The stock network runs in float32; build_mlp networks and everything around the network in float64."""
+
+    dims = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
+
+    def stock_architecture_float64(self):
+        codec = PrecoderCodec(nt=16, nt_rf=4, ns=2)
+        specs = default_architecture(256, codec.output_dim)
+        return build_mlp(256, specs, clamp_max=2.0, seed=0, codec=codec)
+
+    @pytest.mark.parametrize("kind, dtype", [("stock", np.float32), ("build_mlp", np.float64)])
+    def test_one_training_step_stays_in_the_network_dtype(self, monkeypatch, kind, dtype):
+        net = build_precoder_mlp(self.dims, seed=0) if kind == "stock" else self.stock_architecture_float64()
+        seen = {}
+
+        def watch(name):
+            original = getattr(dnn_module, name)
+
+            def wrapped(*args, **kwargs):
+                result = original(*args, **kwargs)
+                seen.setdefault(name, result)  # the first call is the training step's
+                return result
+
+            monkeypatch.setattr(dnn_module, name, wrapped)
+
+        for name in ("forward", "backward", "sgd_momentum_step"):
+            watch(name)
+        data = build_dataset(self.dims, 20, 1)
+        _, history = train(net, data, FactorizeConfig(learning_rate=0.01, max_iters=1, tolerance=0.0, batch=20, seed=1))
+        assert history.dtype == np.float64
+        out, cache = seen["forward"]
+        arrays = {"output": [out], "cache": [a for pair in cache for a in pair]}
+        arrays["gradients"] = [g for grads in seen["backward"] for g in grads]
+        arrays["parameters"], arrays["velocities"] = seen["sgd_momentum_step"]
+        arrays["network"] = net.weights + net.biases
+        for name, group in arrays.items():
+            assert [a.dtype for a in group] == [dtype] * len(group), name
+        assert net.dtype == dtype
+
+    def test_precoder_dtype_is_float32(self):
+        net = build_precoder_mlp(self.dims, seed=0)
+        assert PRECODER_DTYPE == np.float32 and net.dtype == np.float32
+        # the float64 draws of build_mlp, rounded: the initialization stream is unchanged
+        ref = self.stock_architecture_float64()
+        for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+            np.testing.assert_array_equal(got, want.astype(np.float32))
+
+    def test_decoded_precoders_are_float64(self):
+        net = build_precoder_mlp(self.dims, seed=0)
+        hf = infer_precoders(net, draw_channels(self.dims, 3, 2, DATASET_STREAM))
+        assert hf.analog.dtype == hf.digital.dtype == np.complex128
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_match_the_float64_network(self, seed):
+        net = build_precoder_mlp(self.dims, seed=seed)
+        data = build_dataset(self.dims, 20, 100 + seed)
+        loss32, dw32, db32 = _batch_loss_and_grad(net, data.features, data.targets, "train", np.random.default_rng(seed))
+        loss64, dw64, db64 = _batch_loss_and_grad(
+            upcast(net), data.features, data.targets, "train", np.random.default_rng(seed)
+        )
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for got, want in zip(dw32 + db32, dw64 + db64):
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_keeps_dtype(self, tmp_path, dtype):
+        dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
+        net = build_precoder_mlp(dims, seed=4)
+        net = upcast(net) if dtype == np.float64 else net
+        path = tmp_path / "model.npz"
+        save_mlp(net, str(path))
+        loaded = load_mlp(str(path))
+        assert loaded.dtype == dtype
+        for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+            assert b.dtype == dtype and np.array_equal(a, b)
+        x = feature_vector(draw_channels(dims, 4, 13, DATASET_STREAM))
+        out, _ = forward(loaded, x)
+        assert out.dtype == dtype and np.array_equal(out, forward(net, x)[0])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update({f"w{i}": (p[f"w{i}"] * 4).astype(np.int64) for i in range(7)}
+                                | {f"b{i}": p[f"b{i}"].astype(np.int64) for i in range(7)}),
+             "weight 0 dtype int64 is not float32 or float64"),
+            (lambda p: p.update(b3=p["b3"].astype(np.float64)), "bias 3 dtype float64 != weight 0 dtype float32"),
+            (lambda p: p.update(w5=p["w5"].astype(np.float16)), "weight 5 dtype float16 != weight 0 dtype float32"),
+        ],
+        ids=["integer", "mixed", "half"],
+    )
+    def test_file_with_other_dtypes_refused(self, tmp_path, edit, message):
+        net = build_precoder_mlp(SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2), seed=4)
+        path = tmp_path / "model.npz"
+        save_mlp(net, str(path))
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        edit(payload)
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match=message):
+            load_mlp(str(path))
+
     def test_round_trip_bit_exact(self, tmp_path):
         dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
         net = build_precoder_mlp(dims, seed=4)

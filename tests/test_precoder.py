@@ -14,6 +14,7 @@ from hybridprec.precoder import (
     FactorizeConfig,
     HybridFactors,
     SystemDims,
+    _momentum_sgd,
     analog_from_phases,
     factorization_gradient,
     factorization_gradient_batch,
@@ -363,6 +364,22 @@ class TestFactorizeSgdBatch:
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=5, tolerance=0.0, seed=0)
         with pytest.raises(ValueError, match=f"got {n_seeds} seeds for 3 instances"):
             factorize_sgd_batch(targets, 4, cfg, seeds=list(range(n_seeds)))
+
+    def test_one_batched_normalization_equals_per_instance_calls(self):
+        ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 40, 5, 0)
+        r1 = ens.r1.copy()
+        r1[::2] *= 3.0  # targets at 9 times the power budget
+        cfg = FactorizeConfig(learning_rate=0.02, max_iters=100, tolerance=0.0)
+        factors, _, _ = factorize_sgd_batch(r1, 4, cfg, seeds=ens.factor_seeds)
+        analog, digital, _ = _momentum_sgd(r1, 4, cfg, ens.factor_seeds, True)
+        scaled = 0
+        for f, a, d in zip(factors, analog, digital):
+            want = power_normalize(HybridFactors(analog=a, digital=d))
+            np.testing.assert_array_equal(f.analog, want.analog)
+            np.testing.assert_array_equal(f.digital, want.digital)
+            np.testing.assert_array_equal(f.product, want.product)
+            scaled += not np.array_equal(want.digital, d)
+        assert 0 < scaled < len(factors)  # both sides of the power budget occur
 
 
 def exact_exp_reference(r1_stack, nt_rf, cfg, seeds):

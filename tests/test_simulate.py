@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -240,6 +241,22 @@ class TestBerCurve:
         a = ber_curve(["fully_digital_gmd"], [0.0], 2500, DIMS, seed=15, threads=1)[0]
         b = ber_curve(["fully_digital_gmd"], [0.0], 2500, DIMS, seed=15, threads=4)[0]
         np.testing.assert_array_equal(a.ber, b.ber)
+
+    def test_svd_errors_match_closed_form(self):
+        # fully digital SVD turns the link into ns parallel channels sigma_i s_i + n_i
+        # with white noise, so each bit is wrong with probability
+        # p = Q(sigma_i / sigma) on its own; the count over trials, streams and the
+        # two bits of a QPSK symbol is then compared by its z-score
+        grid = [-20.0, -10.0, 0.0, 5.0]
+        trials = 20000
+        curve = ber_curve(["fully_digital_svd"], grid, trials, DIMS, seed=42)[0]
+        sigma_i = svd(draw_ensemble(DIMS, trials, seed=42, point=0).h, DIMS.ns).sigma
+        q = np.frompyfunc(lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)), 1, 1)
+        for snr_db, errors in zip(grid, curve.errors):
+            p = q(sigma_i / noise_sigma_for_snr(snr_db, DIMS.ns)).astype(float)
+            mean, var = 2.0 * np.sum(p), 2.0 * np.sum(p * (1.0 - p))
+            z = (errors - mean) / np.sqrt(var)
+            assert abs(z) <= 4.0, f"{snr_db} dB: {errors} errors against {mean:.1f} predicted, z = {z:.2f}"
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
