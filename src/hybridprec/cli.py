@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -40,8 +41,6 @@ from hybridprec.simulate import (
 
 KINDS = ("gmd-check", "ber", "se", "mse", "train", "complexity-bench")
 
-DIMENSION_RULES = "ns <= nt_rf <= nt and ns <= nr_rf <= nr"
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -49,7 +48,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (file values plus defaults)."""
+    """Fully resolved experiment description: its fields are the config keys, each typed by its default."""
 
     kind: str
     nt: int = 16
@@ -98,40 +97,31 @@ class ExperimentConfig:
         )
 
 
-_INT_KEYS = {
-    "nt", "nr", "nt_rf", "nr_rf", "ns", "p_nlos", "trials", "seed", "max_iters",
-    "batch_size", "threads", "train_size", "bench_repeats", "bench_iters",
-}
-_FLOAT_KEYS = {"spacing_ratio", "learning_rate", "momentum", "tolerance", "noise_sigma"}
-_FLOAT_LIST_KEYS = {"snr_grid_db"}
-_INT_LIST_KEYS = {"nt_sweep"}
-_STR_LIST_KEYS = {"schemes"}
-_STR_KEYS = {"kind", "model"}
-
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_LIST_KEYS | _STR_KEYS
+# every key but ``kind`` takes its type from its default; a tuple default is a comma list
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "kind"}
 
 
 def _parse_value(key: str, raw: str, lineno: int):
+    default = _DEFAULTS[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return _finite(float(raw))
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(_finite(float(x)) for x in raw.split(","))
-        if key in _INT_LIST_KEYS:
-            return tuple(int(x) for x in raw.split(","))
-        if key in _STR_LIST_KEYS:
-            return tuple(x.strip() for x in raw.split(",") if x.strip())
-        return raw
+        if not isinstance(default, tuple):
+            return _cast(type(default), raw)
+        cast = type(default[0])
+        # only a string list drops empty items
+        value = tuple(_cast(cast, x.strip()) for x in raw.split(",") if x.strip() or cast is not str)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r}: {exc}") from exc
+    if len(set(value)) < len(value):
+        # a repeated grid point or scheme would write two rows under one key
+        raise ConfigError(f"line {lineno}: repeated entry in {key} = {raw!r}")
+    return value
 
 
-def _finite(x: float) -> float:
-    if not np.isfinite(x):
+def _cast(cast: type, raw: str):
+    value = cast(raw)
+    if cast is float and not np.isfinite(value):
         raise ValueError("value must be finite")
-    return x
+    return value
 
 
 def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
@@ -155,11 +145,11 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_KEYS:
+        if key != "kind" and key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, lineno)
+        values[key] = raw if key == "kind" else _parse_value(key, raw, lineno)
         lines[key] = lineno
     file_kind = values.pop("kind", None)
     if kind is None:
@@ -176,10 +166,13 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) -> None:
-    """Enforce the dimensional inequalities and per-kind requirements.
+    """Enforce the rules no dataclass can hold: those on the run's own keys,
+    the per-kind requirements, ``p_nlos + 1 >= ns`` outside ``gmd-check`` and
+    the ``nt_sweep`` rules. The field rules of :class:`SystemDims` and
+    :class:`FactorizeConfig` are re-raised as ConfigError.
 
-    ``lines`` maps config keys to the file lines that set them; a violated
-    cross-key rule then names the last of those lines.
+    ``lines`` maps config keys to the file lines that set them; an error then
+    names the last line among the keys it concerns.
     """
 
     def at(*keys: str) -> str:
@@ -188,16 +181,13 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
 
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
-    if not cfg.ns <= cfg.nt_rf <= cfg.nt:
-        raise ConfigError(
-            f"{at('ns', 'nt_rf', 'nt')}dimension rule violated ({DIMENSION_RULES}): "
-            f"ns={cfg.ns}, nt_rf={cfg.nt_rf}, nt={cfg.nt}"
-        )
-    if not cfg.ns <= cfg.nr_rf <= cfg.nr:
-        raise ConfigError(
-            f"{at('ns', 'nr_rf', 'nr')}dimension rule violated ({DIMENSION_RULES}): "
-            f"ns={cfg.ns}, nr_rf={cfg.nr_rf}, nr={cfg.nr}"
-        )
+    try:
+        cfg.factorize_config()
+        cfg.dims()
+    except ValueError as exc:
+        # the message names the fields it concerns; FactorizeConfig's batch is batch_size
+        named = ("batch_size" if word == "batch" else word for word in re.findall(r"\w+", str(exc)))
+        raise ConfigError(f"{at(*named)}{exc}") from exc
     if cfg.kind != "gmd-check" and cfg.p_nlos + 1 < cfg.ns:
         # a channel of p_nlos + 1 paths has rank at most p_nlos + 1
         raise ConfigError(
@@ -208,8 +198,6 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         raise ConfigError(f"{at('trials')}trials must be >= 1, got {cfg.trials}")
     if cfg.threads < 0:
         raise ConfigError(f"{at('threads')}threads must be >= 0 (0 = auto), got {cfg.threads}")
-    if not cfg.spacing_ratio > 0:
-        raise ConfigError(f"{at('spacing_ratio')}spacing_ratio must be > 0, got {cfg.spacing_ratio}")
     if cfg.noise_sigma < 0:
         raise ConfigError(f"{at('noise_sigma')}noise_sigma must be >= 0, got {cfg.noise_sigma}")
     if cfg.bench_repeats < 1:
@@ -242,16 +230,9 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         for nt in cfg.nt_sweep:
             if not cfg.ns <= cfg.nt_rf <= nt:
                 raise ConfigError(
-                    f"{at('ns', 'nt_rf', 'nt_sweep')}dimension rule violated ({DIMENSION_RULES}) at sweep nt={nt}: "
+                    f"{at('ns', 'nt_rf', 'nt_sweep')}dimension rule violated (ns <= nt_rf <= nt) at sweep nt={nt}: "
                     f"ns={cfg.ns}, nt_rf={cfg.nt_rf}"
                 )
-    try:
-        cfg.factorize_config()
-        cfg.dims()
-    except ValueError as exc:
-        # each message opens with the field it rejects; FactorizeConfig's batch is batch_size
-        key = str(exc).split()[0]
-        raise ConfigError(f"{at('batch_size' if key == 'batch' else key)}{exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -303,7 +284,7 @@ def _train_model(cfg: ExperimentConfig, stages: dict):
     net, history = train(net, data, cfg.factorize_config())
     stages.update(dataset=t1 - t0, train=time.perf_counter() - t1)
     # train stops only at an epoch's end or at max_iters
-    steps_per_epoch = -(-data.n_train // cfg.batch_size)
+    steps_per_epoch = -(-len(data) // cfg.batch_size)
     training = {
         "epochs": len(history),
         "steps": min(cfg.max_iters, len(history) * steps_per_epoch),
@@ -386,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
         }
         manifest_path = out_dir / "manifest.json"
         tmp = manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, default=_json_default) + "\n")
+        tmp.write_text(json.dumps(manifest, indent=2) + "\n")
         os.replace(tmp, manifest_path)
         outputs.append(manifest_path)
         return outputs
@@ -397,14 +378,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
             except OSError:
                 pass
         raise
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _run_gmd_check(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, float, float]:
@@ -452,13 +425,7 @@ def _run_train(cfg: ExperimentConfig, out_dir: Path, stages: dict) -> tuple[list
 
 def _run_complexity_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Median factorization wall-clock versus nt at a fixed iteration count."""
-    bench_cfg = FactorizeConfig(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        max_iters=cfg.bench_iters,
-        tolerance=0.0,
-        seed=cfg.seed,
-    )
+    bench_cfg = replace(cfg.factorize_config(), max_iters=cfg.bench_iters, tolerance=0.0)
     rows = []
     medians = []
     for nt in cfg.nt_sweep:

@@ -372,23 +372,18 @@ def feature_vector(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training set as arrays; row k is sample k, and the last ``n_test`` rows are the test split."""
+    """Training set as arrays; row k is sample k."""
 
     features: np.ndarray  # (n, 2 nt nr) network inputs
     targets: np.ndarray  # (n, nt, ns) GMD precoder targets
     channels: np.ndarray  # (n, nr, nt) channel matrices
     indices: np.ndarray  # (n,) indices of the channels in the dataset stream
-    n_test: int = 0
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    @property
-    def n_train(self) -> int:
-        return len(self) - self.n_test
 
-
-def build_dataset(dims: SystemDims, size: int, seed: int, test_fraction: float = 0.0) -> Dataset:
+def build_dataset(dims: SystemDims, size: int, seed: int) -> Dataset:
     """Channels of the dataset stream with their GMD precoder targets and feature vectors.
 
     Sample k is the k-th full-rank channel of stream ``DATASET_STREAM`` at
@@ -397,8 +392,7 @@ def build_dataset(dims: SystemDims, size: int, seed: int, test_fraction: float =
     RankDeficiencyError. The targets come from one batched :func:`gmd`
     call, whose deficiency rule decides the skips: the first index it
     rejects is dropped, the next unread index joins the end of the stack,
-    and the stack goes through again. The trailing ``test_fraction`` of
-    samples is the test split.
+    and the stack goes through again. :func:`train` trains on every sample.
     """
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
@@ -421,7 +415,7 @@ def build_dataset(dims: SystemDims, size: int, seed: int, test_fraction: float =
             channels = np.concatenate(
                 [np.delete(channels, exc.index, axis=0), draw_channels(dims, 1, seed, DATASET_STREAM, start=nxt)]
             )
-    return Dataset(feature_vector(channels), targets, channels, indices, int(round(size * test_fraction)))
+    return Dataset(feature_vector(channels), targets, channels, indices)
 
 
 def _batch_loss_and_grad(
@@ -458,22 +452,22 @@ def _batch_loss_and_grad(
 
 
 def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarray]:
-    """Momentum-SGD training against the factorization loss on the train split.
+    """Momentum-SGD training against the factorization loss on every sample of ``data``.
 
     Samples are shuffled into batches of ``cfg.batch`` each epoch; ``cfg.max_iters``
     caps the total number of SGD steps, each of which updates ``net`` in place.
     The momentum velocities start at zero and live only for this call.
-    The history holds one entry per epoch: the mean root loss over the train
-    split, evaluated noise-free and loss-only (no backward pass), so a zero
+    The history holds one entry per epoch: the mean root loss over the whole
+    dataset, evaluated noise-free and loss-only (no backward pass), so a zero
     learning rate yields a constant history. Stops early when the windowed
     epoch-loss improvement falls below ``cfg.tolerance``.
     """
     if net.codec is None:
         raise ValueError("training requires a network built with a precoder codec")
-    if data.n_train < 1:
+    if len(data) < 1:
         raise ValueError("dataset has no training samples")
-    feats = data.features[: data.n_train].astype(net.dtype, copy=False)
-    targets = data.targets[: data.n_train]
+    feats = data.features.astype(net.dtype, copy=False)
+    targets = data.targets
     rng = np.random.default_rng(cfg.seed)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
     history = []

@@ -28,7 +28,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Antenna/RF-chain/stream counts shared by the simulation layers."""
+    """Antenna/RF-chain/stream counts shared by the simulation layers; construction checks every rule on them."""
 
     nt: int
     nr: int
@@ -52,6 +52,8 @@ class SystemDims:
             )
         if self.p_nlos < 0:
             raise ValueError(f"p_nlos must be >= 0, got {self.p_nlos}")
+        if not self.spacing_ratio > 0:
+            raise ValueError(f"spacing_ratio must be > 0, got {self.spacing_ratio}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,6 @@ class HybridFactors:
     @property
     def product(self) -> np.ndarray:
         return self.analog @ self.digital
-
-    @property
-    def nt(self) -> int:
-        return self.analog.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,8 @@ class FactorizeConfig:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class FactorizationDivergedError(ValueError):

@@ -189,6 +189,8 @@ def draw_ensemble(
     A channel of rank below ns raises RankDeficiencyError naming the point
     and the trial. The payload of the blocks is left to :func:`draw_payload`.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
     def build_chunk(lo: int) -> PointEnsemble:
         words = _trial_words(dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials))
@@ -301,8 +303,6 @@ def ber_curve(
     """
     schemes = validate_schemes(schemes)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     ensemble = draw_ensemble(dims, trials, seed, 0, threads)
     links = []
     for scheme in schemes:

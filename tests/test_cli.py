@@ -1,5 +1,8 @@
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +128,14 @@ class TestParseConfig:
             ("mse", "seed = 1\nschemes = sgd_hybrid, fully_digital_gmd\n", "mse schemes must be among"),
             ("complexity-bench", "seed = 1\nnt_sweep = 16\n", "at least two nt_sweep values"),
             ("complexity-bench", "seed = 1\nnt_sweep = 16, 2\n", "dimension rule violated .* at sweep nt=2"),
+            ("ber", "trials = 5\nseed = -1\n", "seed must be >= 0"),
+            ("gmd-check", "trials = 5\nseed = -1\n", "seed must be >= 0"),
+            ("ber", "ns = 4\nnt_rf = 2\n", "ns <= nt_rf <= nt"),
+            ("ber", "seed = 1\ntrials = 1.5\n", "cannot parse trials"),
+            ("complexity-bench", "seed = 1\nnt_sweep = 16, 3.5\n", "cannot parse nt_sweep"),
+            ("ber", "seed = 1\nsnr_grid_db = 0, 0\n", "repeated entry in snr_grid_db"),
+            ("ber", "seed = 1\nschemes = fully_digital_gmd, fully_digital_gmd\n", "repeated entry in schemes"),
+            ("complexity-bench", "seed = 1\nnt_sweep = 16, 32, 16\n", "repeated entry in nt_sweep"),
         ],
     )
     def test_bad_value_rejected_with_line_number(self, tmp_path, kind, text, message):
@@ -393,6 +404,12 @@ class TestMainEntry:
         main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "b"), "--seed", "99"])
         assert (tmp_path / "a" / "ber.csv").read_bytes() != (tmp_path / "b" / "ber.csv").read_bytes()
 
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BER_CFG)
+        rc = main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_validation_error_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path, "ns = 4\nnt_rf = 2\n")
         rc = main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -408,3 +425,12 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def test_readme_documents_every_config_key():
+    """ExperimentConfig is the only list of keys, so each must appear in a backticked span of the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+    documented = {word for span in re.findall(r"`([^`]+)`", section) for word in re.findall(r"\w+", span)}
+    missing = [f.name for f in fields(ExperimentConfig) if f.name not in documented]
+    assert not missing, f"README's Config keys section names no key {missing}"

@@ -348,11 +348,6 @@ class TestDataset:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.targets, b.targets)
 
-    def test_split_tags(self):
-        data = build_dataset(self.dims, 10, 4, test_fraction=0.3)
-        assert data.n_train == 7
-        assert data.n_test == 3
-
 
 class TestDatasetStream:
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
@@ -391,12 +386,11 @@ def deficient_draws(bad):
     return draw
 
 
-def reference_dataset(dims, size, seed, draw, test_fraction=0.0):
+def reference_dataset(dims, size, seed, draw):
     """build_dataset as first written: one gmd call per stream index, skipping a rank-deficient one.
 
-    Returns the per-sample (features, target, channel, split) and the stream indices consumed.
+    Returns the per-sample (features, target, channel, stream index) and the stream indices consumed.
     """
-    n_test = int(round(size * test_fraction))
     samples, consumed, index = [], [], 0
     for i in range(size):
         for _ in range(100):
@@ -410,15 +404,14 @@ def reference_dataset(dims, size, seed, draw, test_fraction=0.0):
             break
         else:
             raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {i}")
-        split = "test" if i >= size - n_test else "train"
-        samples.append((feature_vector(h), target, h, split, consumed[-1]))
+        samples.append((feature_vector(h), target, h, consumed[-1]))
     return samples, consumed
 
 
 class TestBatchedDatasetTargets:
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 
-    def build(self, monkeypatch, size, bad, test_fraction=0.0):
+    def build(self, monkeypatch, size, bad):
         calls, consumed = [], []
         draw = deficient_draws(bad)
 
@@ -433,20 +426,18 @@ class TestBatchedDatasetTargets:
 
         monkeypatch.setattr(dnn_module, "draw_channels", counted_draw)
         monkeypatch.setattr(dnn_module, "gmd", counted_gmd)
-        return build_dataset(self.dims, size, 31, test_fraction), consumed, calls
+        return build_dataset(self.dims, size, 31), consumed, calls
 
     # the last case: 99 deficient indices in a row, one full-rank index, then one more deficient
     @pytest.mark.parametrize("bad", [set(), {0, 3, 4, 11}, {1, 2, 12, 13}, set(range(2, 101)) | {102}])
     def test_matches_per_draw_reference(self, monkeypatch, bad):
-        data, consumed, calls = self.build(monkeypatch, 12, bad, test_fraction=0.25)
-        ref, ref_consumed = reference_dataset(self.dims, 12, 31, deficient_draws(bad), test_fraction=0.25)
+        data, consumed, calls = self.build(monkeypatch, 12, bad)
+        ref, ref_consumed = reference_dataset(self.dims, 12, 31, deficient_draws(bad))
         assert len(data) == len(ref) == 12
-        assert data.n_test == 3
-        for k, (features, target, h, split, index) in enumerate(ref):
+        for k, (features, target, h, index) in enumerate(ref):
             np.testing.assert_array_equal(data.channels[k], h)
             np.testing.assert_array_equal(data.targets[k], target)
             np.testing.assert_array_equal(data.features[k], features)
-            assert (k >= data.n_train) == (split == "test")
             assert data.indices[k] == index
         # every index up to the last kept one was read once, in order, and none after it
         assert sorted(consumed) == list(range(max(consumed) + 1))
@@ -524,18 +515,18 @@ def reference_train(net, data, cfg):
         d_weights, d_biases = backward(net, cache, grad_out)
         return float(np.mean(np.linalg.norm(err, axis=(1, 2)))), d_weights, d_biases
 
-    train_split = list(range(data.n_train))
+    samples = list(range(len(data)))
     rng = np.random.default_rng(cfg.seed)
     history, steps, epoch = [], 0, 0
     n_w = len(net.weights)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
     while steps < cfg.max_iters:
         epoch += 1
-        order = rng.permutation(len(train_split))
+        order = rng.permutation(len(samples))
         for start in range(0, len(order), cfg.batch):
             if steps >= cfg.max_iters:
                 break
-            batch = [train_split[j] for j in order[start : start + cfg.batch]]
+            batch = [samples[j] for j in order[start : start + cfg.batch]]
             _, d_weights, d_biases = loss_and_grad(batch, "train", rng)
             velocities = [
                 cfg.momentum * v - cfg.learning_rate * g
@@ -544,7 +535,7 @@ def reference_train(net, data, cfg):
             params = [p + v for p, v in zip(net.weights + net.biases, velocities)]
             net.weights, net.biases = params[:n_w], params[n_w:]
             steps += 1
-        eval_loss, _, _ = loss_and_grad(train_split, "infer", None)
+        eval_loss, _, _ = loss_and_grad(samples, "infer", None)
         history.append(eval_loss)
         if _windowed_stop(history, epoch, cfg.tolerance):
             break
@@ -567,9 +558,9 @@ class TestTrainMatchesReference:
                 np.testing.assert_array_equal(got, want)
         return history
 
-    def test_early_stop_with_ragged_batches_and_test_split(self):
-        # 48 training samples in batches of 7: six full batches and one of 6
-        data = build_dataset(self.dims, 60, 21, test_fraction=0.2)
+    def test_early_stop_with_ragged_batches(self):
+        # 48 samples in batches of 7: six full batches and one of 6
+        data = build_dataset(self.dims, 48, 21)
         cfg = FactorizeConfig(learning_rate=0.1, max_iters=3000, tolerance=1e-2, batch=7, seed=4)
         history = self.assert_same_training(data, cfg, noise_sigma=0.1)
         assert len(history) < 3000 // 7  # the stop rule fired before the step cap

@@ -549,6 +549,11 @@ class TestSystemDims:
         with pytest.raises(ValueError):
             SystemDims(nt=8, nr=2, nt_rf=4, nr_rf=1, ns=2)
 
+    @pytest.mark.parametrize("spacing_ratio", [0.0, -0.5])
+    def test_spacing_ratio_must_be_positive(self, spacing_ratio):
+        with pytest.raises(ValueError, match="spacing_ratio must be > 0"):
+            SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2, spacing_ratio=spacing_ratio)
+
     def test_valid_dims(self):
         d = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
         assert d.nt == 16

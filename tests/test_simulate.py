@@ -183,6 +183,13 @@ class TestDrawEnsemble:
             draw_ensemble(DIMS, 1100, seed=21, point=3, threads=threads)
         assert info.value.index == 1030
 
+    @pytest.mark.parametrize("call", ["draw_ensemble", "se_curve", "ber_curve"])
+    def test_zero_trials_rejected(self, call):
+        # both curves leave the rule to the draw they share
+        args = (DIMS, 0, 0, 0) if call == "draw_ensemble" else (["fully_digital_gmd"], [0.0], 0, DIMS, 0)
+        with pytest.raises(ValueError, match=r"trials must be >= 1, got 0"):
+            getattr(simulate, call)(*args)
+
     def test_fields_are_what_curves_read(self):
         assert [f.name for f in fields(PointEnsemble)] == ["h", "u", "v", "w1", "r1", "factor_seeds"]
         ens = draw_ensemble(DIMS, 10, seed=21, point=3)
