@@ -29,6 +29,9 @@ Every row is the median of ``--repeats`` timed runs, measured with
 - ``cli_ber.t2000``: ``hybridprec ber`` on ``configs/ber.cfg`` at
   ``trials = 2000``, called in-process.
 
+Beside the machine, the file records ``src_lines``: the line count (as
+``wc -l``) of each ``src/hybridprec`` module and their total.
+
 Host speed drifts by 1.3-2x within an hour on shared machines, so a fixed
 numpy kernel that never calls hybridprec (the host-speed probe) is timed
 before every row and after the last. Each row is reported raw and as a ratio
@@ -201,6 +204,11 @@ def machine() -> dict:
     }
 
 
+def src_lines() -> dict:
+    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted((ROOT / "src" / "hybridprec").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. bench/BENCH_<tag>.json")
@@ -229,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:42s} {seconds:10.5f} s  ratio {seconds / probe:9.4f}", file=sys.stderr)
     result = {
         "machine": machine(),
+        "src_lines": src_lines(),
         "probe": {"kernel": f"median of {PROBE_RUNS} runs of {PROBE_ITERS} exact-exp factorization steps, 2000 instances", "seconds": probes},
         "rows": rows,
         "total_s": time.perf_counter() - start,

@@ -218,9 +218,9 @@ def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) 
         for s in cfg.schemes:
             if s not in MSE_METHODS:
                 raise ConfigError(f"{at('schemes')}mse schemes must be among {MSE_METHODS}, got {s!r}")
-    if cfg.kind == "train" and cfg.max_iters < 1:
+    if trains and cfg.max_iters < 1:
         # zero steps give an empty history: no loss to report, no trained model
-        raise ConfigError(f"{at('max_iters')}train requires max_iters >= 1, got {cfg.max_iters}")
+        raise ConfigError(f"{at('max_iters')}a run that trains needs max_iters >= 1, got {cfg.max_iters}")
     if cfg.kind == "complexity-bench":
         if len(cfg.nt_sweep) < 2:
             raise ConfigError(f"{at('nt_sweep')}complexity-bench requires at least two nt_sweep values")

@@ -35,7 +35,7 @@ from hybridprec.precoder import (
     power_normalize,
 )
 
-ACTIVATIONS = ("relu", "clamp", "linear")
+ACTIVATIONS = ("relu", "clamp")
 
 MLP_FORMAT_VERSION = 2
 
@@ -241,9 +241,7 @@ def _apply_activation(
     """
     if spec.activation == "relu":
         return np.maximum(0.0, z, out=out)
-    if spec.activation == "clamp":
-        return _clamp(z, clamp_max, out)
-    return z
+    return _clamp(z, clamp_max, out)
 
 
 def forward(
@@ -311,7 +309,7 @@ def backward(
     """
     grad_out = np.asarray(grad_out, dtype=net.dtype)
     delta = grad_out.reshape(1, -1) if grad_out.ndim == 1 else grad_out
-    owned = False  # delta is the caller's array until a product replaces it
+    last = len(net.specs) - 1
     d_weights = [np.empty(0)] * len(net.weights)
     d_biases = [np.empty(0)] * len(net.biases)
     for i in reversed(range(len(net.specs))):
@@ -319,21 +317,16 @@ def backward(
         spec = net.specs[i]
         if spec.activation == "relu":
             mask = z > 0
-        elif spec.activation == "clamp":
-            mask = (z > 0) & (z < net.clamp_max)
         else:
-            mask = None
-        if mask is not None:
-            if owned:
-                delta *= mask
-            else:
-                delta = delta * mask
-                owned = True
+            mask = (z > 0) & (z < net.clamp_max)
+        if i == last:
+            delta = delta * mask  # the caller's array, never written to
+        else:
+            delta *= mask
         d_weights[i] = x_in.astype(delta.dtype, copy=False).T @ delta
         d_biases[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ net.weights[i].T
-            owned = True
     return d_weights, d_biases
 
 

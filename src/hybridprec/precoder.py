@@ -60,7 +60,9 @@ class SystemDims:
 class HybridFactors:
     """Analog (nt x nt_rf, constant modulus 1/sqrt(nt)) and digital (nt_rf x ns) precoders.
 
-    Both may carry the same leading batch dimensions, one pair per instance.
+    Both may carry the same leading batch dimension, one pair per instance;
+    ``factors[i]`` is then instance i's pair, as views of the stacks, so
+    stacked factors have a length and iterate instance by instance.
     """
 
     analog: np.ndarray
@@ -69,6 +71,12 @@ class HybridFactors:
     @property
     def product(self) -> np.ndarray:
         return self.analog @ self.digital
+
+    def __len__(self) -> int:
+        return len(self.analog)
+
+    def __getitem__(self, i) -> HybridFactors:
+        return HybridFactors(analog=self.analog[i], digital=self.digital[i])
 
 
 @dataclass(frozen=True)
@@ -111,14 +119,12 @@ class FactorizeResult:
     """Factorization output: power-normalized factors plus the loss trajectory.
 
     ``loss_trace[0]`` is the loss at the initial point; ``loss_trace[k]`` the
-    loss after iteration k. ``power_scale`` is the factor applied to the
-    digital part by the final power normalization (1.0 when none was needed).
+    loss after iteration k.
     """
 
     factors: HybridFactors
     loss_trace: np.ndarray
     converged: bool
-    power_scale: float = 1.0
 
 
 def phase_project(target: np.ndarray) -> np.ndarray:
@@ -152,15 +158,10 @@ def power_normalize(hf: HybridFactors) -> HybridFactors:
     analog part is never touched. Stacked factors, (b, nt, nt_rf) analog
     with (b, nt_rf, ns) digital, are normalized instance by instance.
     """
-    scaled, _ = _power_normalize_scale(hf)
-    return scaled
-
-
-def _power_normalize_scale(hf: HybridFactors) -> tuple[HybridFactors, np.ndarray]:
     ns = hf.digital.shape[-1]
     power = np.sum(np.abs(hf.product) ** 2, axis=(-2, -1))
     scale = np.sqrt(ns / np.maximum(power, ns))  # exactly 1 inside the budget
-    return HybridFactors(analog=hf.analog, digital=hf.digital * scale[..., None, None]), scale
+    return HybridFactors(analog=hf.analog, digital=hf.digital * scale[..., None, None])
 
 
 def phase_projection_baseline(r1: np.ndarray) -> HybridFactors:
@@ -275,27 +276,17 @@ def _windowed_stop(trace, it: int, tolerance: float):
     return prev - cur < tolerance * np.maximum(prev, np.finfo(float).tiny)
 
 
-def factorize_sgd(
-    r1: np.ndarray,
-    nt_rf: int,
-    cfg: FactorizeConfig,
-    optimize_digital: bool = True,
-) -> FactorizeResult:
+def factorize_sgd(r1: np.ndarray, nt_rf: int, cfg: FactorizeConfig) -> FactorizeResult:
     """Factor R1 into constant-modulus analog and digital parts by momentum SGD.
 
     A batch of one of :func:`factorize_sgd_batch`, seeded by ``cfg.seed``, so
     the trace and factors are bit-equal to that instance's in any batch; the
     stop rule and the divergence check are the batch's. ``converged`` is
-    False when the run hit ``cfg.max_iters`` without the rule firing. With
-    ``optimize_digital=False`` only the phases move, which is the
-    analog-only comparator used by the convergence experiments.
+    False when the run hit ``cfg.max_iters`` without the rule firing.
     """
-    analog, digital, trace = _momentum_sgd(
-        np.asarray(r1, dtype=complex)[None], nt_rf, cfg, [cfg.seed], optimize_digital
-    )
-    factors, scale = _power_normalize_scale(HybridFactors(analog=analog[0], digital=digital[0]))
+    factors, trace, _ = factorize_sgd_batch(np.asarray(r1)[None], nt_rf, cfg, seeds=[cfg.seed])
     converged = bool(np.all(_windowed_stop(trace, len(trace) - 1, cfg.tolerance)))
-    return FactorizeResult(factors=factors, loss_trace=trace[:, 0], converged=converged, power_scale=float(scale))
+    return FactorizeResult(factors=factors[0], loss_trace=trace[:, 0], converged=converged)
 
 
 def factorize_sgd_batch(
@@ -304,7 +295,7 @@ def factorize_sgd_batch(
     cfg: FactorizeConfig,
     seeds: np.ndarray | None = None,
     optimize_digital: bool = True,
-) -> tuple[list[HybridFactors], np.ndarray, np.ndarray]:
+) -> tuple[HybridFactors, np.ndarray, np.ndarray]:
     """Factor a stack of targets (b x nt x ns) in lockstep, vectorized over the batch.
 
     The squared loss is optimized for smooth gradients; the trace reports
@@ -317,26 +308,26 @@ def factorize_sgd_batch(
     exp(j*step) between exact recomputations (module docstring), which keeps
     the losses within about 1e-13 relative of an exact-exp loop.
     ``seeds[i]`` seeds instance i (default: cfg.seed + i); a ``seeds`` whose
-    length is not b raises ValueError.
+    length is not b raises ValueError. With ``optimize_digital=False`` only
+    the phases move, which is the analog-only comparator of the convergence
+    experiments.
 
-    Returns the power-normalized factors (one batched normalization; factor
-    i holds views of the normalized stacks), the loss matrix (longest run + 1)
-    x b, whose column i repeats instance i's final loss after its stop, and
-    the final per-instance losses. Raises :class:`FactorizationDivergedError`
-    when any instance ends with a non-finite loss or above its starting loss
-    (a learning rate too large for the target), so a diverged run never
-    turns into a BER figure.
+    Returns the power-normalized factors as one stacked :class:`HybridFactors`
+    (one batched normalization; ``factors[i]`` is instance i), the loss
+    matrix (longest run + 1) x b, whose column i repeats instance i's final
+    loss after its stop, and the final per-instance losses. Raises
+    :class:`FactorizationDivergedError` when any instance ends with a
+    non-finite loss or above its starting loss (a learning rate too large
+    for the target), so a diverged run never turns into a BER figure.
     """
     analog, digital, trace = _momentum_sgd(r1_stack, nt_rf, cfg, seeds, optimize_digital)
-    stacked = power_normalize(HybridFactors(analog=analog, digital=digital))
-    factors = [HybridFactors(analog=a, digital=d) for a, d in zip(stacked.analog, stacked.digital)]
-    return factors, trace, trace[-1]
+    return power_normalize(HybridFactors(analog=analog, digital=digital)), trace, trace[-1]
 
 
 def _momentum_sgd(
     r1_stack: np.ndarray, nt_rf: int, cfg: FactorizeConfig, seeds, optimize_digital: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The loop behind both factorizers: raw (not power-normalized) analog and digital stacks, and the loss matrix."""
+    """The loop of :func:`factorize_sgd_batch`: raw (not power-normalized) analog and digital stacks, and the loss matrix."""
     r1_stack = np.asarray(r1_stack, dtype=complex)
     b, nt, ns = r1_stack.shape
     if not ns <= nt_rf <= nt:

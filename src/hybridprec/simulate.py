@@ -255,7 +255,7 @@ def build_scheme_factors(
         if cfg is None:
             raise ValueError("sgd_hybrid requires a FactorizeConfig")
         factors, _, _ = factorize_sgd_batch(ensemble.r1, dims.nt_rf, cfg, seeds=ensemble.factor_seeds)
-        precoders = np.stack([f.product for f in factors])
+        precoders = factors.product
     else:  # dnn_hybrid
         if net is None:
             raise ValueError("dnn_hybrid requires a trained network")

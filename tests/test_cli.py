@@ -115,6 +115,7 @@ class TestParseConfig:
             ("complexity-bench", "seed = 1\nbench_repeats = 0\n", "bench_repeats must be >= 1"),
             ("train", "seed = 1\ntrain_size = 0\n", "train_size >= 1"),
             ("se", "schemes = dnn_hybrid\ntrain_size = 0\n", "train_size >= 1"),
+            ("ber", "schemes = dnn_hybrid\nmax_iters = 0\n", "a run that trains needs max_iters >= 1"),
             ("train", "seed = 1\nnoise_sigma = -0.1\n", "noise_sigma must be >= 0"),
             ("ber", "seed = 1\nlearning_rate = -0.1\n", "learning_rate must be >= 0"),
             ("mse", "seed = 1\nmomentum = 1.0\n", r"momentum must be in \[0, 1\)"),
@@ -319,7 +320,7 @@ class TestRunExperiment:
         assert (tmp_path / "inline" / "ber.csv").read_bytes() == (tmp_path / "saved" / "ber.csv").read_bytes()
 
     def test_train_without_steps_rejected_with_line_number(self, tmp_path):
-        with pytest.raises(ConfigError, match="line 2: train requires max_iters >= 1"):
+        with pytest.raises(ConfigError, match="line 2: a run that trains needs max_iters >= 1"):
             parse_config(write_config(tmp_path, "seed = 1\nmax_iters = 0\n"), kind="train")
 
     def test_diverging_factorization_exits_with_error(self, tmp_path, capsys):

@@ -56,8 +56,9 @@ class TestArchitecture:
         assert all(s == 0 for i, s in enumerate(sigmas) if i != 3)
 
     def test_bad_activation_rejected(self):
-        with pytest.raises(ValueError):
-            LayerSpec(4, "sigmoid")
+        for activation in ("sigmoid", "linear"):
+            with pytest.raises(ValueError, match="activation must be one of"):
+                LayerSpec(4, activation)
 
 
 class TestActivations:
@@ -131,7 +132,7 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
     def test_training_noise_changes_forward(self):
-        net = build_mlp(4, [LayerSpec(64, "relu", noise_sigma=0.5), LayerSpec(2, "linear")],
+        net = build_mlp(4, [LayerSpec(64, "relu", noise_sigma=0.5), LayerSpec(2, "relu")],
                         clamp_max=1.0, seed=0)
         x = np.random.default_rng(4).standard_normal(4)
         a, _ = forward(net, x, mode="train", rng=np.random.default_rng(1))
@@ -193,10 +194,8 @@ def reference_forward_backward(net, x, grad_out, mode, rng):
         cache.append((x, z))
         if spec.activation == "relu":
             x = relu(z)
-        elif spec.activation == "clamp":
-            x = clamp_activation(z, net.clamp_max)
         else:
-            x = z
+            x = clamp_activation(z, net.clamp_max)
         if mode == "train" and spec.noise_sigma > 0:
             x = noise_inject(x, spec.noise_sigma, rng)
     delta = grad_out
@@ -205,7 +204,7 @@ def reference_forward_backward(net, x, grad_out, mode, rng):
         x_in, z = cache[i]
         if net.specs[i].activation == "relu":
             delta = delta * (z > 0)
-        elif net.specs[i].activation == "clamp":
+        else:
             delta = delta * ((z > 0) & (z < net.clamp_max))
         d_weights[i] = x_in.T @ delta
         d_biases[i] = delta.sum(axis=0)
@@ -223,7 +222,7 @@ class TestSingleActivationCopy:
             [
                 LayerSpec(9, "relu"),
                 LayerSpec(8, "relu", noise_sigma=0.3),
-                LayerSpec(7, "linear"),
+                LayerSpec(7, "relu"),
                 LayerSpec(5, "clamp"),
             ],
             clamp_max=2.0,

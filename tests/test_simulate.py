@@ -265,6 +265,27 @@ class TestBerCurve:
             z = (errors - mean) / np.sqrt(var)
             assert abs(z) <= 4.0, f"{snr_db} dB: {errors} errors against {mean:.1f} predicted, z = {z:.2f}"
 
+    def test_gmd_last_stream_errors_match_closed_form(self):
+        # GMD makes W1^H H R1 upper triangular with every diagonal entry equal to
+        # sigma_bar, the geometric mean of the ns singular values, and keeps the
+        # noise white; SIC detects the last stream first, with no interference,
+        # so each of its two bits is wrong with probability Q(sigma_bar / sigma)
+        grid = [-20.0, -10.0, 0.0, 5.0, 10.0]
+        trials = 20000
+        ens = draw_ensemble(DIMS, trials, seed=42, point=0)
+        sigma_bar = np.prod(svd(ens.h, DIMS.ns).sigma, axis=1) ** (1.0 / DIMS.ns)
+        q_true = np.conj(np.swapaxes(ens.w1, 1, 2)) @ ens.h @ ens.r1
+        q = np.frompyfunc(lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)), 1, 1)
+        for point, snr_db in enumerate(grid):
+            sigma = noise_sigma_for_snr(snr_db, DIMS.ns)
+            bits, noise = draw_payload(DIMS, trials, seed=42, point=point)
+            y = link(ens.h, ens.r1, ens.w1, qpsk_map(bits), sigma * noise)
+            errors = np.sum(qpsk_demap(sic_detect(np.triu(q_true), y))[:, -2:] != bits[:, -2:])
+            p = q(sigma_bar / sigma).astype(float)
+            mean, var = 2.0 * np.sum(p), 2.0 * np.sum(p * (1.0 - p))
+            z = (errors - mean) / np.sqrt(var)
+            assert abs(z) <= 4.0, f"{snr_db} dB: {errors} errors against {mean:.1f} predicted, z = {z:.2f}"
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             ber_curve(["zero_forcing"], [0.0], 10, DIMS, seed=0)
