@@ -12,6 +12,10 @@ Every row is the median of ``--repeats`` timed runs, measured with
   (time of K iterations - time of 0 iterations) / K on ensemble channels,
   with the optimizer of ``configs/ber.cfg``. K is a multiple of the
   factorizer's 50-iteration stop window;
+- ``factorize_sgd_batch.start.b20000``: the 0-iteration call that the
+  b20000 row subtracts, timed alone: each instance's start drawn from its
+  own seed, the first product and loss, and the power normalization. It has
+  no per-iteration figure;
 - ``factorize_sgd.single.i600``: one call of the single-instance factorizer
   (a batch of one) at 600 iterations on one ensemble channel, nt = 16, the
   optimizer of ``configs/ber.cfg``; this is the path that acceptance
@@ -127,6 +131,7 @@ def factorize_rows():
             return (run(iters) - run(0)) / iters
 
         yield f"factorize_sgd_batch.iteration.b{b}", one_iteration, {"instances": b, "iterations": iters}
+    yield f"factorize_sgd_batch.start.b{b}", lambda: run(0), {"iterations": 0}
 
 
 def single_row_factory():

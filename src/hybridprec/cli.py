@@ -75,6 +75,62 @@ class ExperimentConfig:
     bench_repeats: int = 5
     bench_iters: int = 50
 
+    def __post_init__(self) -> None:
+        """Check every rule on the keys, so a file, an override and a library caller all meet them.
+
+        The field rules of :class:`FactorizeConfig` and :class:`SystemDims` are
+        re-raised as ConfigError. Each message names the keys it concerns.
+        """
+        if self.kind not in KINDS:
+            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        try:
+            self.factorize_config()
+            self.dims()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.kind != "gmd-check" and self.p_nlos + 1 < self.ns:
+            # a channel of p_nlos + 1 paths has rank at most p_nlos + 1
+            raise ConfigError(f"p_nlos + 1 >= ns must hold for a rank-ns channel, got p_nlos={self.p_nlos}, ns={self.ns}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.threads < 0:
+            raise ConfigError(f"threads must be >= 0 (0 = auto), got {self.threads}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.bench_repeats < 1:
+            # no timed repeat leaves every median undefined
+            raise ConfigError(f"bench_repeats must be >= 1, got {self.bench_repeats}")
+        trains = self.kind == "train" or (self.kind in ("ber", "se") and "dnn_hybrid" in self.schemes and not self.model)
+        if trains and self.train_size < 1:
+            raise ConfigError(f"a run that trains needs train_size >= 1, got {self.train_size}")
+        if self.kind in ("ber", "se", "mse") and not self.schemes:
+            raise ConfigError(f"{self.kind} requires a non-empty schemes list")
+        if self.kind in ("ber", "se"):
+            for s in self.schemes:
+                if s not in SCHEME_IDS:
+                    raise ConfigError(f"schemes: unknown scheme {s!r}, expected one of {SCHEME_IDS}")
+            if not self.snr_grid_db:
+                raise ConfigError(f"{self.kind} requires a non-empty snr_grid_db")
+        if self.kind == "mse":
+            for s in self.schemes:
+                if s not in MSE_METHODS:
+                    raise ConfigError(f"mse schemes must be among {MSE_METHODS}, got {s!r}")
+        if trains and self.max_iters < 1:
+            # zero steps give an empty history: no loss to report, no trained model
+            raise ConfigError(f"a run that trains needs max_iters >= 1, got {self.max_iters}")
+        if self.kind == "complexity-bench":
+            if len(self.nt_sweep) < 2:
+                raise ConfigError("complexity-bench requires at least two nt_sweep values")
+            if self.bench_iters < 1:
+                # zero iterations would time a factorization that does no work
+                raise ConfigError(f"bench_iters must be >= 1, got {self.bench_iters}")
+            for nt in self.nt_sweep:
+                if not self.ns <= self.nt_rf <= nt:
+                    raise ConfigError(
+                        f"nt_sweep: dimension rule violated (ns <= nt_rf <= nt) at sweep nt={nt}: "
+                        f"ns={self.ns}, nt_rf={self.nt_rf}"
+                    )
+
     def dims(self) -> SystemDims:
         return SystemDims(
             nt=self.nt,
@@ -125,11 +181,12 @@ def _cast(cast: type, raw: str):
 
 
 def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
-    """Read a ``key = value`` config file, apply defaults, and validate.
+    """Read a ``key = value`` config file, apply defaults, and build the config.
 
-    Unknown keys are rejected with their line number. ``kind`` (usually the
-    CLI subcommand) overrides a ``kind`` key in the file; if both are given
-    they must agree.
+    Unknown keys are rejected with their line number, and so is a value that
+    breaks a rule of :class:`ExperimentConfig`: its error names the last line
+    among the keys the message names. ``kind`` (usually the CLI subcommand)
+    overrides a ``kind`` key in the file; if both are given they must agree.
     """
     path = Path(path)
     if not path.is_file():
@@ -160,79 +217,15 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError("experiment kind missing (no subcommand and no 'kind' key)")
     if kind == "mse" and "schemes" not in values:
         values["schemes"] = MSE_METHODS
-    cfg = ExperimentConfig(kind=kind, **values)
-    validate_config(cfg, lines)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig, lines: dict[str, int] | None = None) -> None:
-    """Enforce the rules no dataclass can hold: those on the run's own keys,
-    the per-kind requirements, ``p_nlos + 1 >= ns`` outside ``gmd-check`` and
-    the ``nt_sweep`` rules. The field rules of :class:`SystemDims` and
-    :class:`FactorizeConfig` are re-raised as ConfigError.
-
-    ``lines`` maps config keys to the file lines that set them; an error then
-    names the last line among the keys it concerns.
-    """
-
-    def at(*keys: str) -> str:
-        found = [lines[k] for k in keys if lines and k in lines]
-        return f"line {max(found)}: " if found else ""
-
-    if cfg.kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
     try:
-        cfg.factorize_config()
-        cfg.dims()
-    except ValueError as exc:
-        # the message names the fields it concerns; FactorizeConfig's batch is batch_size
+        return ExperimentConfig(kind=kind, **values)
+    except ConfigError as exc:
+        # the message names the keys it concerns; FactorizeConfig's batch is batch_size
         named = ("batch_size" if word == "batch" else word for word in re.findall(r"\w+", str(exc)))
-        raise ConfigError(f"{at(*named)}{exc}") from exc
-    if cfg.kind != "gmd-check" and cfg.p_nlos + 1 < cfg.ns:
-        # a channel of p_nlos + 1 paths has rank at most p_nlos + 1
-        raise ConfigError(
-            f"{at('p_nlos', 'ns')}p_nlos + 1 >= ns must hold for a rank-ns channel, "
-            f"got p_nlos={cfg.p_nlos}, ns={cfg.ns}"
-        )
-    if cfg.trials < 1:
-        raise ConfigError(f"{at('trials')}trials must be >= 1, got {cfg.trials}")
-    if cfg.threads < 0:
-        raise ConfigError(f"{at('threads')}threads must be >= 0 (0 = auto), got {cfg.threads}")
-    if cfg.noise_sigma < 0:
-        raise ConfigError(f"{at('noise_sigma')}noise_sigma must be >= 0, got {cfg.noise_sigma}")
-    if cfg.bench_repeats < 1:
-        # no timed repeat leaves every median undefined
-        raise ConfigError(f"{at('bench_repeats')}bench_repeats must be >= 1, got {cfg.bench_repeats}")
-    trains = cfg.kind == "train" or (cfg.kind in ("ber", "se") and "dnn_hybrid" in cfg.schemes and not cfg.model)
-    if trains and cfg.train_size < 1:
-        raise ConfigError(f"{at('train_size')}a run that trains needs train_size >= 1, got {cfg.train_size}")
-    if cfg.kind in ("ber", "se", "mse") and not cfg.schemes:
-        raise ConfigError(f"{at('schemes')}{cfg.kind} requires a non-empty schemes list")
-    if cfg.kind in ("ber", "se"):
-        for s in cfg.schemes:
-            if s not in SCHEME_IDS:
-                raise ConfigError(f"{at('schemes')}unknown scheme {s!r}, expected one of {SCHEME_IDS}")
-        if not cfg.snr_grid_db:
-            raise ConfigError(f"{cfg.kind} requires a non-empty snr_grid_db")
-    if cfg.kind == "mse":
-        for s in cfg.schemes:
-            if s not in MSE_METHODS:
-                raise ConfigError(f"{at('schemes')}mse schemes must be among {MSE_METHODS}, got {s!r}")
-    if trains and cfg.max_iters < 1:
-        # zero steps give an empty history: no loss to report, no trained model
-        raise ConfigError(f"{at('max_iters')}a run that trains needs max_iters >= 1, got {cfg.max_iters}")
-    if cfg.kind == "complexity-bench":
-        if len(cfg.nt_sweep) < 2:
-            raise ConfigError(f"{at('nt_sweep')}complexity-bench requires at least two nt_sweep values")
-        if cfg.bench_iters < 1:
-            # zero iterations would time a factorization that does no work
-            raise ConfigError(f"{at('bench_iters')}bench_iters must be >= 1, got {cfg.bench_iters}")
-        for nt in cfg.nt_sweep:
-            if not cfg.ns <= cfg.nt_rf <= nt:
-                raise ConfigError(
-                    f"{at('ns', 'nt_rf', 'nt_sweep')}dimension rule violated (ns <= nt_rf <= nt) at sweep nt={nt}: "
-                    f"ns={cfg.ns}, nt_rf={cfg.nt_rf}"
-                )
+        found = [lines[k] for k in named if k in lines]
+        if not found:
+            raise
+        raise ConfigError(f"line {max(found)}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -512,7 +505,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
-        validate_config(cfg)
         outputs = run_experiment(cfg, args.out, config_dir=Path(args.config).parent)
     except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hybridprec.channel import DATASET_STREAM, draw_channels
-from hybridprec.decomp import RankDeficiencyError, gmd
+from hybridprec.decomp import gmd
 from hybridprec.precoder import (
     FactorizeConfig,
     HybridFactors,
@@ -369,46 +369,21 @@ class Dataset:
 
     features: np.ndarray  # (n, 2 nt nr) network inputs
     targets: np.ndarray  # (n, nt, ns) GMD precoder targets
-    channels: np.ndarray  # (n, nr, nt) channel matrices
-    indices: np.ndarray  # (n,) indices of the channels in the dataset stream
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.targets)
 
 
 def build_dataset(dims: SystemDims, size: int, seed: int) -> Dataset:
     """Channels of the dataset stream with their GMD precoder targets and feature vectors.
 
-    Sample k is the k-th full-rank channel of stream ``DATASET_STREAM`` at
-    ``seed``: a rank-deficient index (possible only in pathological angle
-    collisions) is skipped, and 100 deficient indices in a row raise
-    RankDeficiencyError. The targets come from one batched :func:`gmd`
-    call, whose deficiency rule decides the skips: the first index it
-    rejects is dropped, the next unread index joins the end of the stack,
-    and the stack goes through again. :func:`train` trains on every sample.
+    Sample k is stream index k of ``DATASET_STREAM`` at ``seed``. The targets
+    come from one batched :func:`gmd` call, so a rank-deficient channel raises
+    RankDeficiencyError with its stream index in ``index``, as a curve's
+    ensemble does. :func:`train` trains on every sample.
     """
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    indices = np.arange(size)
     channels = draw_channels(dims, size, seed, DATASET_STREAM)
-    misses, last_miss = 0, -1
-    while True:
-        try:
-            targets = gmd(channels, dims.ns).r1
-            break
-        except RankDeficiencyError as exc:
-            # the indices after a dropped one are consecutive, so a miss in
-            # the same slot is the next index of the stream
-            misses = misses + 1 if exc.index == last_miss else 1
-            if misses == 100:
-                raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {exc.index}") from exc
-            last_miss = exc.index
-            nxt = indices[-1] + 1
-            indices = np.append(np.delete(indices, exc.index), nxt)
-            channels = np.concatenate(
-                [np.delete(channels, exc.index, axis=0), draw_channels(dims, 1, seed, DATASET_STREAM, start=nxt)]
-            )
-    return Dataset(feature_vector(channels), targets, channels, indices)
+    return Dataset(feature_vector(channels), gmd(channels, dims.ns).r1)
 
 
 def _batch_loss_and_grad(

@@ -1,7 +1,7 @@
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +13,13 @@ from hybridprec.cli import (
     main,
     parse_config,
     run_experiment,
-    validate_config,
 )
 from hybridprec.dnn import build_precoder_mlp, save_mlp
 from hybridprec.precoder import SystemDims
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -157,11 +160,36 @@ class TestParseConfig:
         assert parse_config(write_config(tmp_path, text), kind="se").train_size == 0
         assert parse_config(write_config(tmp_path, "train_size = 0\n"), kind="ber").train_size == 0
 
+    def test_unknown_kind_in_file_with_line_number(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 1: kind must be one of"):
+            parse_config(write_config(tmp_path, "kind = bogus\nseed = 1\n"))
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_config_parses(self, path):
+        parse_config(path, kind=path.stem.replace("_", "-"))
+
     def test_mse_scheme_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="mse schemes"):
             parse_config(
                 write_config(tmp_path, "schemes = fully_digital_gmd\n"), kind="mse"
             )
+
+
+class TestConfigChecksItself:
+    """The rules hold for every ExperimentConfig, not only for one parsed from a file."""
+
+    def test_bench_without_repeats_rejected(self):
+        with pytest.raises(ConfigError, match="bench_repeats must be >= 1"):
+            ExperimentConfig(kind="complexity-bench", bench_repeats=0)
+
+    def test_train_without_steps_rejected(self):
+        with pytest.raises(ConfigError, match="a run that trains needs max_iters >= 1"):
+            ExperimentConfig(kind="train", max_iters=0)
+
+    def test_replace_checks_the_new_value(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, BER_CFG), kind="ber")
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            replace(cfg, trials=0)
 
 
 class TestRunExperiment:
@@ -430,8 +458,19 @@ class TestMainEntry:
 
 def test_readme_documents_every_config_key():
     """ExperimentConfig is the only list of keys, so each must appear in a backticked span of the docs."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
     documented = {word for span in re.findall(r"`([^`]+)`", section) for word in re.findall(r"\w+", span)}
     missing = [f.name for f in fields(ExperimentConfig) if f.name not in documented]
     assert not missing, f"README's Config keys section names no key {missing}"
+
+
+def test_readme_quick_start_runs(capsys):
+    """The python block under README's "Library quick start" runs as written."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    loss, converged = capsys.readouterr().out.split()
+    assert float(loss) < 0.1
+    assert converged in ("True", "False")

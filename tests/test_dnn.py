@@ -356,17 +356,16 @@ class TestDatasetStream:
     def test_smaller_build_is_a_prefix(self, k, extra, seed):
         small = build_dataset(self.dims, k, seed)
         large = build_dataset(self.dims, k + extra, seed)
-        for name in ("features", "targets", "channels", "indices"):
+        for name in ("features", "targets"):
             assert np.array_equal(getattr(small, name), getattr(large, name)[:k]), name
 
     def test_channels_are_the_dataset_stream(self):
         data = build_dataset(self.dims, 12, 5)
-        np.testing.assert_array_equal(data.indices, np.arange(12))
-        assert np.array_equal(data.channels, draw_channels(self.dims, 12, 5, DATASET_STREAM))
+        assert np.array_equal(data.features, feature_vector(draw_channels(self.dims, 12, 5, DATASET_STREAM)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_disjoint_from_the_curve_ensemble(self, seed):
-        channels = build_dataset(self.dims, 200, seed).channels
+        channels = draw_channels(self.dims, 200, seed, DATASET_STREAM)
         ensemble = draw_ensemble(self.dims, 200, seed, 0).h
         equal = np.all(channels[:, None] == ensemble[None], axis=(2, 3))
         assert not equal.any()
@@ -385,69 +384,26 @@ def deficient_draws(bad):
     return draw
 
 
-def reference_dataset(dims, size, seed, draw):
-    """build_dataset as first written: one gmd call per stream index, skipping a rank-deficient one.
-
-    Returns the per-sample (features, target, channel, stream index) and the stream indices consumed.
-    """
-    samples, consumed, index = [], [], 0
-    for i in range(size):
-        for _ in range(100):
-            h = draw(dims, 1, seed, DATASET_STREAM, start=index)[0]
-            consumed.append(index)
-            index += 1
-            try:
-                target = gmd(h, dims.ns).r1
-            except RankDeficiencyError:
-                continue
-            break
-        else:
-            raise RankDeficiencyError(f"no full-rank channel found in 100 draws for sample {i}")
-        samples.append((feature_vector(h), target, h, consumed[-1]))
-    return samples, consumed
-
-
-class TestBatchedDatasetTargets:
+class TestDatasetTargets:
     dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
 
-    def build(self, monkeypatch, size, bad):
-        calls, consumed = [], []
-        draw = deficient_draws(bad)
+    def test_one_batched_gmd_of_the_drawn_channels(self, monkeypatch):
+        calls = []
 
         def counted_gmd(*args, **kwargs):
             calls.append(args[0].shape)
             return gmd(*args, **kwargs)
 
-        def counted_draw(dims, n, seed, stream, start=0):
-            assert stream == DATASET_STREAM
-            consumed.extend(range(start, start + n))
-            return draw(dims, n, seed, stream, start=start)
-
-        monkeypatch.setattr(dnn_module, "draw_channels", counted_draw)
         monkeypatch.setattr(dnn_module, "gmd", counted_gmd)
-        return build_dataset(self.dims, size, 31), consumed, calls
+        data = build_dataset(self.dims, 12, 31)
+        assert calls == [(12, self.dims.nr, self.dims.nt)]
+        assert np.array_equal(data.targets, gmd(draw_channels(self.dims, 12, 31, DATASET_STREAM), 2).r1)
 
-    # the last case: 99 deficient indices in a row, one full-rank index, then one more deficient
-    @pytest.mark.parametrize("bad", [set(), {0, 3, 4, 11}, {1, 2, 12, 13}, set(range(2, 101)) | {102}])
-    def test_matches_per_draw_reference(self, monkeypatch, bad):
-        data, consumed, calls = self.build(monkeypatch, 12, bad)
-        ref, ref_consumed = reference_dataset(self.dims, 12, 31, deficient_draws(bad))
-        assert len(data) == len(ref) == 12
-        for k, (features, target, h, index) in enumerate(ref):
-            np.testing.assert_array_equal(data.channels[k], h)
-            np.testing.assert_array_equal(data.targets[k], target)
-            np.testing.assert_array_equal(data.features[k], features)
-            assert data.indices[k] == index
-        # every index up to the last kept one was read once, in order, and none after it
-        assert sorted(consumed) == list(range(max(consumed) + 1))
-        assert max(consumed) == max(ref_consumed) == data.indices[-1]
-        assert not set(data.indices) & bad
-        if not bad:
-            assert calls == [(12, self.dims.nr, self.dims.nt)]
-
-    def test_hundred_deficient_draws_in_a_row_raise(self, monkeypatch):
-        with pytest.raises(RankDeficiencyError, match="in 100 draws for sample 2"):
-            self.build(monkeypatch, 5, set(range(2, 102)))
+    def test_rank_deficient_channel_raises_with_its_stream_index(self, monkeypatch):
+        monkeypatch.setattr(dnn_module, "draw_channels", deficient_draws({3, 7}))
+        with pytest.raises(RankDeficiencyError, match="matrix 3 of the stack") as info:
+            build_dataset(self.dims, 12, 31)
+        assert info.value.index == 3
 
 
 class TestTrain:
@@ -750,7 +706,7 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_mlp(net, str(path))
         loaded = load_mlp(str(path))
-        x = feature_vector(data.channels[0])
+        x = data.features[0]
         out_a, _ = forward(net, x)
         out_b, _ = forward(loaded, x)
         assert np.array_equal(out_a, out_b)
