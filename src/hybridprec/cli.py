@@ -28,7 +28,7 @@ import numpy as np
 
 import hybridprec
 from hybridprec.channel import DATASET_STREAM, draw_channels
-from hybridprec.decomp import gmd
+from hybridprec.decomp import gmd, gmd_from_svd, svd
 from hybridprec.dnn import build_dataset, build_precoder_mlp, load_mlp, save_mlp, train
 from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd
 from hybridprec.simulate import (
@@ -378,13 +378,12 @@ def _run_gmd_check(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, float, f
     # matrix i takes the real part, then the imaginary part, from the stream
     parts = np.random.default_rng(cfg.seed).standard_normal((cfg.trials, 2, cfg.nr, cfg.nt))
     m = parts[:, 0] + 1j * parts[:, 1]
-    ns = cfg.ns
-    f = gmd(m, ns)
+    truncated = svd(m, cfg.ns)
+    f = gmd_from_svd(truncated)
     diag_dev = np.max(np.abs(np.diagonal(f.q1, axis1=1, axis2=2).real - f.sigma_bar[:, None]), axis=1) / f.sigma_bar
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    m_ns = (u[:, :, :ns] * s[:, None, :ns]) @ vh[:, :ns]
+    m_ns = truncated.reconstruct()
     rec_diff = f.reconstruct() - m_ns
-    eye = np.eye(ns)
+    eye = np.eye(cfg.ns)
     w1_dev = np.conj(np.swapaxes(f.w1, 1, 2)) @ f.w1 - eye
     r1_dev = np.conj(np.swapaxes(f.r1, 1, 2)) @ f.r1 - eye
     rows = [

@@ -200,24 +200,20 @@ def gmd(m: np.ndarray, ns: int) -> GmdFactors:
     is real, positive, and constant at the geometric mean of the ns largest
     singular values. ``m`` may be a (b, nr, nt) stack: one batched
     :func:`svd`, whose rank rule raises RankDeficiencyError, then the
-    rotations of all b matrices at once; a single matrix is a batch of one.
+    rotations of all b matrices at once.
     """
-    f = svd(m, ns)
+    return gmd_from_svd(svd(m, ns))
+
+
+def gmd_from_svd(f: SvdFactors) -> GmdFactors:
+    """GMD factors from the rank-ns thin SVD of one matrix or of a stack.
+
+    ``f`` is what :func:`svd` returns, so its ns singular values are
+    positive; a single matrix is a batch of one.
+    """
     if f.sigma.ndim == 1:
-        w1, q1, r1, sigma_bar = gmd_from_svd(f.u[None], f.sigma[None], f.v[None], ns)
-        return GmdFactors(w1=w1[0], q1=q1[0], r1=r1[0], sigma_bar=float(sigma_bar[0]))
-    w1, q1, r1, sigma_bar = gmd_from_svd(f.u, f.sigma, f.v, ns)
-    return GmdFactors(w1=w1, q1=q1, r1=r1, sigma_bar=sigma_bar)
-
-
-def gmd_from_svd(
-    u: np.ndarray, sigma: np.ndarray, v: np.ndarray, ns: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked GMD factors (w1, q1, r1, sigma_bar) from a batched thin SVD.
-
-    ``u`` (b, nr, k), ``sigma`` (b, k) and ``v`` (b, nt, k) hold the SVD of
-    b matrices whose ns largest singular values are positive.
-    """
-    sigma_bar = geometric_mean_sigma(sigma, ns)
-    gl, q1, gr = _gmd_rotations(sigma[:, :ns], sigma_bar)
-    return u[:, :, :ns] @ gl, q1.astype(complex), v[:, :, :ns] @ gr, sigma_bar
+        g = gmd_from_svd(SvdFactors(u=f.u[None], sigma=f.sigma[None], v=f.v[None]))
+        return GmdFactors(w1=g.w1[0], q1=g.q1[0], r1=g.r1[0], sigma_bar=float(g.sigma_bar[0]))
+    sigma_bar = geometric_mean_sigma(f.sigma, f.sigma.shape[-1])
+    gl, q1, gr = _gmd_rotations(f.sigma, sigma_bar)
+    return GmdFactors(w1=f.u @ gl, q1=q1.astype(complex), r1=f.v @ gr, sigma_bar=sigma_bar)

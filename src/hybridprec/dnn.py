@@ -31,8 +31,10 @@ from hybridprec.precoder import (
     SystemDims,
     _windowed_stop,
     analog_from_phases,
+    check_divergence,
     factorization_gradient_batch,
     power_normalize,
+    sgd_momentum_step,
 )
 
 ACTIVATIONS = ("relu", "clamp")
@@ -207,13 +209,11 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, x)
 
 
-def clamp_activation(x: np.ndarray, ns: float) -> np.ndarray:
-    """Elementwise min(max(x, 0), ns): the power-constraint box on the output."""
-    return _clamp(x, ns)
+def clamp_activation(x: np.ndarray, ns: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise min(max(x, 0), ns): the power-constraint box on the output.
 
-
-def _clamp(x: np.ndarray, ns: float, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`clamp_activation`, written into ``out`` when given (``out=x`` clamps in place)."""
+    Written into ``out`` when given (``out=x`` clamps in place).
+    """
     if ns < 1:
         raise ValueError(f"ns must be >= 1, got {ns}")
     y = np.maximum(x, 0.0, out=out)
@@ -241,7 +241,7 @@ def _apply_activation(
     """
     if spec.activation == "relu":
         return np.maximum(0.0, z, out=out)
-    return _clamp(z, clamp_max, out)
+    return clamp_activation(z, clamp_max, out)
 
 
 def forward(
@@ -330,26 +330,6 @@ def backward(
     return d_weights, d_biases
 
 
-def sgd_momentum_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    velocities: list[np.ndarray],
-    alpha: float,
-    epsilon: float,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Momentum update on every parameter array: v <- alpha*v - epsilon*g; p <- p + v.
-
-    The parameter and velocity arrays are updated in place, bit for bit equal
-    to the allocating form; the gradient arrays are left untouched. Returns
-    the same two lists, ``(params, velocities)``.
-    """
-    for p, g, v in zip(params, grads, velocities):
-        v *= alpha
-        v -= epsilon * g
-        p += v
-    return params, velocities
-
-
 def feature_vector(h: np.ndarray) -> np.ndarray:
     """Concatenated real and imaginary channel entries, scaled to unit RMS.
 
@@ -428,7 +408,9 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     The history holds one entry per epoch: the mean root loss over the whole
     dataset, evaluated noise-free and loss-only (no backward pass), so a zero
     learning rate yields a constant history. Stops early when the windowed
-    epoch-loss improvement falls below ``cfg.tolerance``.
+    epoch-loss improvement falls below ``cfg.tolerance``. Raises
+    FactorizationDivergedError when the last epoch's loss is non-finite or
+    above the untrained net's, evaluated the same way before the first step.
     """
     if net.codec is None:
         raise ValueError("training requires a network built with a precoder codec")
@@ -438,6 +420,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     targets = data.targets
     rng = np.random.default_rng(cfg.seed)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
+    start_loss, _, _ = _batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)
     history = []
     steps = 0
     epoch = 0
@@ -461,6 +444,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
         history.append(eval_loss)
         if _windowed_stop(history, epoch, cfg.tolerance):
             break
+    check_divergence("training", start_loss, history[-1:], cfg.learning_rate)  # no epoch at max_iters = 0
     return net, np.asarray(history)
 
 

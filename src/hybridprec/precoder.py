@@ -280,13 +280,12 @@ def factorize_sgd(r1: np.ndarray, nt_rf: int, cfg: FactorizeConfig) -> Factorize
     """Factor R1 into constant-modulus analog and digital parts by momentum SGD.
 
     A batch of one of :func:`factorize_sgd_batch`, seeded by ``cfg.seed``, so
-    the trace and factors are bit-equal to that instance's in any batch; the
-    stop rule and the divergence check are the batch's. ``converged`` is
-    False when the run hit ``cfg.max_iters`` without the rule firing.
+    the trace, the factors and ``converged`` are bit-equal to that instance's
+    in any batch. ``converged`` is False when the run hit ``cfg.max_iters``
+    without the stop rule firing.
     """
-    factors, trace, _ = factorize_sgd_batch(np.asarray(r1)[None], nt_rf, cfg, seeds=[cfg.seed])
-    converged = bool(np.all(_windowed_stop(trace, len(trace) - 1, cfg.tolerance)))
-    return FactorizeResult(factors=factors[0], loss_trace=trace[:, 0], converged=converged)
+    factors, trace, converged = factorize_sgd_batch(np.asarray(r1)[None], nt_rf, cfg, seeds=[cfg.seed])
+    return FactorizeResult(factors=factors[0], loss_trace=trace[:, 0], converged=bool(converged[0]))
 
 
 def factorize_sgd_batch(
@@ -315,19 +314,51 @@ def factorize_sgd_batch(
     Returns the power-normalized factors as one stacked :class:`HybridFactors`
     (one batched normalization; ``factors[i]`` is instance i), the loss
     matrix (longest run + 1) x b, whose column i repeats instance i's final
-    loss after its stop, and the final per-instance losses. Raises
+    loss after its stop, and the per-instance ``converged`` flags (b,), True
+    where the stop rule fired before or at ``cfg.max_iters``. Raises
     :class:`FactorizationDivergedError` when any instance ends with a
     non-finite loss or above its starting loss (a learning rate too large
     for the target), so a diverged run never turns into a BER figure.
     """
-    analog, digital, trace = _momentum_sgd(r1_stack, nt_rf, cfg, seeds, optimize_digital)
-    return power_normalize(HybridFactors(analog=analog, digital=digital)), trace, trace[-1]
+    analog, digital, trace, converged = _momentum_sgd(r1_stack, nt_rf, cfg, seeds, optimize_digital)
+    return power_normalize(HybridFactors(analog=analog, digital=digital)), trace, converged
+
+
+def check_divergence(what: str, start, final, learning_rate: float) -> None:
+    """Raise :class:`FactorizationDivergedError` naming ``what`` where a final loss (one, or one per instance) is non-finite or above its start."""
+    start, final = np.atleast_1d(start), np.atleast_1d(final)
+    diverged = ~np.isfinite(final) | (final > start)
+    if diverged.any():
+        raise FactorizationDivergedError(
+            f"{what} diverged in {int(diverged.sum())} of {len(final)} instances: worst final loss "
+            f"{np.max(final[diverged]):.3e} (learning_rate = {learning_rate})"
+        )
+
+
+def sgd_momentum_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    velocities: list[np.ndarray],
+    alpha: float,
+    epsilon: float,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Momentum update on every parameter array: v <- alpha*v - epsilon*g; p <- p + v.
+
+    The parameter and velocity arrays are updated in place, bit for bit equal
+    to the allocating form; the gradient arrays are left untouched. Returns
+    the same two lists, ``(params, velocities)``.
+    """
+    for p, g, v in zip(params, grads, velocities):
+        v *= alpha
+        v -= epsilon * g
+        p += v
+    return params, velocities
 
 
 def _momentum_sgd(
     r1_stack: np.ndarray, nt_rf: int, cfg: FactorizeConfig, seeds, optimize_digital: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The loop of :func:`factorize_sgd_batch`: raw (not power-normalized) analog and digital stacks, and the loss matrix."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loop of :func:`factorize_sgd_batch`: raw (not power-normalized) analog and digital stacks, the loss matrix and ``converged``."""
     r1_stack = np.asarray(r1_stack, dtype=complex)
     b, nt, ns = r1_stack.shape
     if not ns <= nt_rf <= nt:
@@ -343,12 +374,13 @@ def _momentum_sgd(
     v_phases = np.zeros_like(phases)
     v_digital = np.zeros_like(digital)
     root_nt = np.sqrt(nt)
-    # the working arrays hold the running instances, in instance order
-    running = np.ones(b, dtype=bool)
-    final_analog = np.empty((b, nt, nt_rf), dtype=complex)
-    final_digital = np.empty_like(digital)
+    moving = 2 if optimize_digital else 1  # phases, then digital
+    # the working arrays hold the running instances, rows, in instance order
+    rows = np.arange(b)
+    converged = np.zeros(b, dtype=bool)
 
     analog = analog_from_phases(phases)
+    out_analog, out_digital = np.empty_like(analog), np.empty_like(digital)
     err = r1_stack - analog @ digital
     trace = [np.linalg.norm(err, axis=(1, 2))]
     # a diverging run overflows the rotation polynomials; the check after the
@@ -356,45 +388,33 @@ def _momentum_sgd(
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
-            v_phases *= cfg.momentum
-            v_phases -= cfg.learning_rate * g_phases
-            phases += v_phases
-            if optimize_digital:
-                v_digital *= cfg.momentum
-                v_digital -= cfg.learning_rate * g_digital
-                digital += v_digital
+            sgd_momentum_step(
+                [phases, digital][:moving], [g_phases, g_digital][:moving], [v_phases, v_digital][:moving],
+                alpha=cfg.momentum, epsilon=cfg.learning_rate,
+            )
             if it % STOP_WINDOW == 0 or it == cfg.max_iters:
                 analog = analog_from_phases(phases)
             else:
                 _rotate_analog(analog, phases, v_phases, root_nt)
             err = r1_stack - analog @ digital
-            loss = np.linalg.norm(err, axis=(1, 2))
-            if len(loss) < b:  # a stopped instance repeats its final loss
-                loss, running_loss = trace[-1].copy(), loss
-                loss[running] = running_loss
+            loss = trace[-1].copy()  # a stopped instance repeats its final loss
+            loss[rows] = np.linalg.norm(err, axis=(1, 2))
             trace.append(loss)
             # the rule fires only at window ends, where the analog stack is exact
             if it % STOP_WINDOW != 0:
                 continue
-            stop = running & _windowed_stop(trace, it, cfg.tolerance)
+            # the rule gives a plain False before the second window
+            stop = np.broadcast_to(_windowed_stop(trace, it, cfg.tolerance), b)[rows]
             if not stop.any():
                 continue
-            keep = ~stop[running]
-            final_analog[stop], final_digital[stop] = analog[~keep], digital[~keep]
-            running &= ~stop
-            r1_stack, phases, digital, v_phases, v_digital, analog, err = (
-                x[keep] for x in (r1_stack, phases, digital, v_phases, v_digital, analog, err)
+            done = rows[stop]
+            out_analog[done], out_digital[done], converged[done] = analog[stop], digital[stop], True
+            rows, r1_stack, phases, digital, v_phases, v_digital, analog, err = (
+                x[~stop] for x in (rows, r1_stack, phases, digital, v_phases, v_digital, analog, err)
             )
-            if not running.any():
+            if not len(rows):
                 break
+    out_analog[rows], out_digital[rows] = analog, digital
     trace = np.asarray(trace)
-    diverged = ~np.isfinite(trace[-1]) | (trace[-1] > trace[0])
-    if diverged.any():
-        raise FactorizationDivergedError(
-            f"factorization diverged in {int(diverged.sum())} of {b} instances: worst final loss "
-            f"{np.max(trace[-1][diverged]):.3e} (learning_rate = {cfg.learning_rate})"
-        )
-    if running.all():
-        return analog, digital, trace
-    final_analog[running], final_digital[running] = analog, digital
-    return final_analog, final_digital, trace
+    check_divergence("factorization", trace[0], trace[-1], cfg.learning_rate)
+    return out_analog, out_digital, trace, converged

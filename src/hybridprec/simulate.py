@@ -48,17 +48,14 @@ _SETUP_CHUNK = 1024  # fixed chunk size so threading cannot change results
 _QPSK_SCALE = 1.0 / np.sqrt(2.0)
 
 
-def validate_scheme(scheme: str) -> str:
-    if scheme not in SCHEME_IDS:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEME_IDS}")
-    return scheme
-
-
 def validate_schemes(schemes) -> tuple[str, ...]:
     """A non-empty sequence of scheme ids, as a tuple; a bare string is rejected."""
     if isinstance(schemes, str):
         raise ValueError(f"schemes must be a sequence of scheme ids, got the string {schemes!r}")
-    schemes = tuple(validate_scheme(s) for s in schemes)
+    schemes = tuple(schemes)
+    for s in schemes:
+        if s not in SCHEME_IDS:
+            raise ValueError(f"unknown scheme {s!r}, expected one of {SCHEME_IDS}")
     if not schemes:
         raise ValueError("at least one scheme is required")
     return schemes
@@ -202,8 +199,8 @@ def draw_ensemble(
             error = RankDeficiencyError(f"rank-deficient channel draw at point {point}, trial {lo + exc.index}")
             error.index = lo + exc.index
             raise error from exc
-        w1, _, r1, _ = gmd_from_svd(f.u, f.sigma, f.v, dims.ns)
-        return PointEnsemble(h, f.u, f.v, w1, r1, words[7][:, 0])
+        g = gmd_from_svd(f)
+        return PointEnsemble(h, f.u, f.v, g.w1, g.r1, words[7][:, 0])
 
     parts = _map_chunks(build_chunk, trials, threads)
     if len(parts) == 1:
@@ -240,10 +237,10 @@ def build_scheme_factors(
 
     Hybrid schemes share the GMD combiner W1; the fully digital schemes use
     their own decomposition factors. Hybrid precoders are power-normalized
-    products R_A R_D. Raises ValueError, naming the scheme, when a precoder
-    exceeds the transmit power budget trace(DD^H) <= ns.
+    products R_A R_D. Raises ValueError, naming the scheme and the trial,
+    when a precoder exceeds the transmit power budget trace(DD^H) <= ns or
+    its power is not finite.
     """
-    validate_scheme(scheme)
     combiners = ensemble.w1
     if scheme == "fully_digital_gmd":
         precoders = ensemble.r1
@@ -256,12 +253,14 @@ def build_scheme_factors(
             raise ValueError("sgd_hybrid requires a FactorizeConfig")
         factors, _, _ = factorize_sgd_batch(ensemble.r1, dims.nt_rf, cfg, seeds=ensemble.factor_seeds)
         precoders = factors.product
-    else:  # dnn_hybrid
+    elif scheme == "dnn_hybrid":
         if net is None:
             raise ValueError("dnn_hybrid requires a trained network")
         precoders = infer_precoders(net, ensemble.h).product
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEME_IDS}")
     power = np.sum(np.abs(precoders) ** 2, axis=(1, 2))
-    over = np.flatnonzero(power > dims.ns + 1e-9)
+    over = np.flatnonzero(~(power <= dims.ns + 1e-9))  # a NaN power is over too
     if over.size:
         raise ValueError(
             f"{scheme} precoder of trial {over[0]} has power {power[over[0]]:.6f}, over the budget ns={dims.ns}"

@@ -29,7 +29,7 @@ from hybridprec.dnn import (
     sgd_momentum_step,
     train,
 )
-from hybridprec.precoder import FactorizeConfig, SystemDims, _windowed_stop
+from hybridprec.precoder import FactorizationDivergedError, FactorizeConfig, SystemDims, _windowed_stop
 from hybridprec.simulate import draw_ensemble
 
 
@@ -435,6 +435,14 @@ class TestTrain:
         _, history = train(net, data, FactorizeConfig(learning_rate=0.001, max_iters=10, tolerance=0.0, batch=4, seed=1))
         assert len(history) == 5
 
+    def test_divergence_raises(self):
+        # the untrained net's loss is about 1.4; at this learning rate the last epoch ends near 7
+        dims = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
+        data = build_dataset(dims, 40, 1)
+        cfg = FactorizeConfig(learning_rate=1000.0, max_iters=60, tolerance=0.0, batch=20, seed=1)
+        with pytest.raises(FactorizationDivergedError, match=r"training diverged .*learning_rate = 1000\.0"):
+            train(build_precoder_mlp(dims, seed=1), data, cfg)
+
     def test_requires_codec(self):
         net = build_mlp(4, [LayerSpec(2, "clamp")], clamp_max=1.0, seed=0)
         data = build_dataset(self.dims, 2, 9)
@@ -541,9 +549,10 @@ class TestTrainMatchesReference:
         _, history = train(build_precoder_mlp(self.dims, seed=2), data, cfg)
         step = [("forward", "train"), ("backward", None), ("sgd_momentum_step", None)]
         evaluation = [("forward", "infer")]
+        # the untrained net's loss first, for the divergence check; then
         # 3 steps per epoch (4, 4, 2 samples); 9 steps = 3 epochs
         assert len(history) == 3
-        assert events == (step * 3 + evaluation) * 3
+        assert events == evaluation + (step * 3 + evaluation) * 3
 
 
 class TestCodecAndInference:
@@ -613,7 +622,8 @@ class TestPrecision:
 
             def wrapped(*args, **kwargs):
                 result = original(*args, **kwargs)
-                seen.setdefault(name, result)  # the first call is the training step's
+                if kwargs.get("mode") != "infer":  # not a loss-only evaluation
+                    seen.setdefault(name, result)  # the first such call is the training step's
                 return result
 
             monkeypatch.setattr(dnn_module, name, wrapped)

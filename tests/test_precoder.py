@@ -327,7 +327,7 @@ class TestFactorizeSgdBatch:
     def test_matches_single_instance_runs(self):
         targets = np.stack([representable_target(8, 4, 2, seed=s) for s in (10, 11, 12)])
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=60, tolerance=0.0, seed=0)
-        factors, trace, finals = factorize_sgd_batch(targets, 4, cfg, seeds=[10, 11, 12])
+        factors, trace, _ = factorize_sgd_batch(targets, 4, cfg, seeds=[10, 11, 12])
         for i, seed in enumerate((10, 11, 12)):
             single = factorize_sgd(
                 targets[i], 4, FactorizeConfig(learning_rate=0.01, max_iters=60, tolerance=0.0, seed=seed)
@@ -371,7 +371,7 @@ class TestFactorizeSgdBatch:
         r1[::2] *= 3.0  # targets at 9 times the power budget
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=100, tolerance=0.0)
         factors, _, _ = factorize_sgd_batch(r1, 4, cfg, seeds=ens.factor_seeds)
-        analog, digital, _ = _momentum_sgd(r1, 4, cfg, ens.factor_seeds, True)
+        analog, digital, _, _ = _momentum_sgd(r1, 4, cfg, ens.factor_seeds, True)
         assert len(factors) == 40
         products = []
         scaled = 0
@@ -451,10 +451,9 @@ class TestRotatedAnalogStep:
     def test_trace_matches_exact_exp_loop(self):
         r1, seeds = self.ensemble(50)
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=600, tolerance=0.0)
-        factors, trace, finals = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        factors, trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
         ref_trace, ref_analog, _ = exact_exp_reference(r1, 4, cfg, seeds)
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-11)
-        np.testing.assert_array_equal(finals, trace[-1])
         np.testing.assert_allclose(factors.analog, ref_analog, rtol=0, atol=1e-11)
 
     def test_zero_learning_rate_keeps_analog_exact(self):
@@ -529,14 +528,16 @@ class TestPerInstanceStop:
     def test_instance_matches_its_batch_of_one(self, idx, tolerance):
         r1, seeds = stop_ensemble()
         cfg = stop_config(tolerance)
-        factors, trace, finals = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
+        factors, trace, converged = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
+        assert converged.dtype == bool and converged.shape == (len(idx),)
         for k, i in enumerate(idx):
-            (one_factors, one_trace, one_finals), single = alone(i, tolerance)
+            (one_factors, one_trace, one_converged), single = alone(i, tolerance)
             stop = len(one_trace) - 1
             np.testing.assert_array_equal(trace[: stop + 1, k], one_trace[:, 0])
             np.testing.assert_array_equal(single.loss_trace, one_trace[:, 0])
-            assert np.all(trace[stop + 1 :, k] == finals[k])  # padded with its final loss
-            assert finals[k] == one_finals[0] == single.loss_trace[-1]
+            assert np.all(trace[stop + 1 :, k] == trace[-1, k])  # padded with its final loss
+            assert trace[-1, k] == one_trace[-1, 0] == single.loss_trace[-1]
+            assert converged[k] == one_converged[0] == single.converged
             for f in (one_factors[0], single.factors):
                 np.testing.assert_array_equal(factors[k].analog, f.analog)
                 np.testing.assert_array_equal(factors[k].digital, f.digital)

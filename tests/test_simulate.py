@@ -108,6 +108,15 @@ class TestTransmit:
         with pytest.raises(ValueError, match="phase_projection"):
             ber_curve(["fully_digital_gmd", "phase_projection"], [0.0], 5, SMALL, seed=5)
 
+    def test_non_finite_precoder_rejected(self):
+        # one NaN weight makes every dnn_hybrid precoder NaN, whose power compares False with the budget
+        net = build_precoder_mlp(DIMS, seed=0)
+        net.weights[0][0, 0] = np.nan
+        for curve in (ber_curve, se_curve):
+            with pytest.raises(ValueError, match="dnn_hybrid precoder of trial 0 has power nan"):
+                with np.errstate(invalid="ignore"):
+                    curve(["dnn_hybrid"], [0.0, 10.0], 20, DIMS, seed=1, net=net)
+
 
 class TestSicDetect:
     def test_noiseless_recovery(self):
@@ -289,6 +298,8 @@ class TestBerCurve:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             ber_curve(["zero_forcing"], [0.0], 10, DIMS, seed=0)
+        with pytest.raises(ValueError, match="unknown scheme 'zero_forcing'"):
+            build_scheme_factors("zero_forcing", draw_ensemble(DIMS, 5, seed=0, point=0), DIMS)
 
     def test_sgd_requires_config(self):
         with pytest.raises(ValueError):
