@@ -11,7 +11,9 @@ Every row is the median of ``--repeats`` timed runs, measured with
   momentum-SGD factorizer at n = 20, 500, 2000 and 20000 instances, taken as
   (time of K iterations - time of 0 iterations) / K on ensemble channels,
   with the optimizer of ``configs/ber.cfg``. K is a multiple of the
-  factorizer's 50-iteration stop window;
+  factorizer's 50-iteration stop window. The b20000 row also records
+  ``traced_peak_mb``, the ``tracemalloc`` peak of one extra, untimed call
+  of its K = 50 iterations;
 - ``factorize_sgd_batch.start.b20000``: the 0-iteration call that the
   b20000 row subtracts, timed alone: each instance's start drawn from its
   own seed, the first product and loss, and the power normalization. It has
@@ -55,6 +57,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,20 +121,33 @@ def timed(fn) -> float:
     return time.perf_counter() - t0
 
 
+def traced_peak_mb(fn) -> float:
+    """The ``tracemalloc`` peak of one call of ``fn``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def factorize_rows():
     ens = draw_ensemble(DIMS, max(FACTORIZE_SIZES), seed=1, point=0)
     for b, iters in FACTORIZE_SIZES.items():
         r1, seeds = ens.r1[:b], ens.factor_seeds[:b]
 
-        def run(k, r1=r1, seeds=seeds):
+        def call(k, r1=r1, seeds=seeds):
             cfg = FactorizeConfig(learning_rate=0.02, max_iters=k, tolerance=0.0)
-            return timed(lambda: factorize_sgd_batch(r1, DIMS.nt_rf, cfg, seeds=seeds))
+            return lambda: factorize_sgd_batch(r1, DIMS.nt_rf, cfg, seeds=seeds)
 
-        def one_iteration(iters=iters, run=run):
-            return (run(iters) - run(0)) / iters
+        def one_iteration(iters=iters, call=call):
+            return (timed(call(iters)) - timed(call(0))) / iters
 
-        yield f"factorize_sgd_batch.iteration.b{b}", one_iteration, {"instances": b, "iterations": iters}
-    yield f"factorize_sgd_batch.start.b{b}", lambda: run(0), {"iterations": 0}
+        info = {"instances": b, "iterations": iters}
+        if b == max(FACTORIZE_SIZES):
+            info["traced_peak_mb"] = traced_peak_mb(call(iters))
+        yield f"factorize_sgd_batch.iteration.b{b}", one_iteration, info
+    yield f"factorize_sgd_batch.start.b{b}", lambda: timed(call(0)), {"iterations": 0}
 
 
 def single_row_factory():

@@ -113,6 +113,11 @@ class FactorizationDivergedError(ValueError):
 # consecutive windows of this many iterations rather than between iterations
 STOP_WINDOW = 50
 
+# instances per block of the batched factorizer: a block's working arrays
+# (about 3.5 KB per instance) stay in a 1-2 MB L2 cache, and the 500-trial
+# curves of the benchmark run as one block
+_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class FactorizeResult:
@@ -223,9 +228,6 @@ def factorization_gradient_batch(
 # exp(j*v) = cos(v) + j*sin(v) by Taylor polynomials in v^2 (degree 8 and 9 in v);
 # for |v| <= _ROTATION_BOUND the first dropped terms are below 3e-20
 _ROTATION_BOUND = 0.05
-# the rotation runs over blocks of about this many elements, so that a block's
-# temporaries (about 1 MB) stay in a 1-2 MB L2 cache at large batch sizes
-_ROTATION_BLOCK = 32768
 _COS_COEFFS = (1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -0.5)
 _SIN_COEFFS = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
 
@@ -245,22 +247,17 @@ def _rotate_analog(analog: np.ndarray, phases: np.ndarray, step: np.ndarray, roo
 
     An entry whose |step| exceeds _ROTATION_BOUND takes the exact
     exp(j*phases)/root_nt instead; the choice is made element by element.
-    The stack is processed in blocks of instances so that the temporaries
-    stay in cache at large batch sizes.
     """
-    rows = max(1, _ROTATION_BLOCK // (step.shape[-2] * step.shape[-1]))
-    for lo in range(0, len(step), rows):
-        a, p, v = analog[lo : lo + rows], phases[lo : lo + rows], step[lo : lo + rows]
-        v2 = v * v
-        rot = np.empty(v.shape, dtype=complex)
-        rot.real = _horner(v2, _COS_COEFFS)
-        sin = _horner(v2, _SIN_COEFFS)
-        sin *= v
-        rot.imag = sin
-        a *= rot
-        far = v2 > _ROTATION_BOUND**2
-        if far.any():
-            a[far] = np.exp(1j * p[far]) / root_nt
+    v2 = step * step
+    rot = np.empty(step.shape, dtype=complex)
+    rot.real = _horner(v2, _COS_COEFFS)
+    sin = _horner(v2, _SIN_COEFFS)
+    sin *= step
+    rot.imag = sin
+    analog *= rot
+    far = v2 > _ROTATION_BOUND**2
+    if far.any():
+        analog[far] = np.exp(1j * phases[far]) / root_nt
 
 
 def _windowed_stop(trace, it: int, tolerance: float):
@@ -303,7 +300,9 @@ def factorize_sgd_batch(
     STOP_WINDOW-iteration windows drops below ``cfg.tolerance``, or after
     ``cfg.max_iters`` steps. It then leaves the working arrays, so the cost
     of an iteration falls as instances finish, and no instance's result
-    depends on its batch. The analog stack is rotated in place by
+    depends on its batch. The batch runs in blocks of _BLOCK instances, each
+    block through all of its iterations, so that a block's working arrays
+    stay in cache at any batch size. The analog stack is rotated in place by
     exp(j*step) between exact recomputations (module docstring), which keeps
     the losses within about 1e-13 relative of an exact-exp loop.
     ``seeds[i]`` seeds instance i (default: cfg.seed + i); a ``seeds`` whose
@@ -320,7 +319,34 @@ def factorize_sgd_batch(
     non-finite loss or above its starting loss (a learning rate too large
     for the target), so a diverged run never turns into a BER figure.
     """
-    analog, digital, trace, converged = _momentum_sgd(r1_stack, nt_rf, cfg, seeds, optimize_digital)
+    r1_stack = np.asarray(r1_stack, dtype=complex)
+    b, nt, ns = r1_stack.shape
+    if not ns <= nt_rf <= nt:
+        raise ValueError(f"ns <= nt_rf <= nt must hold, got ns={ns}, nt_rf={nt_rf}, nt={nt}")
+    if seeds is None:
+        seeds = cfg.seed + np.arange(b)
+    elif len(seeds) != b:
+        raise ValueError(f"got {len(seeds)} seeds for {b} instances")
+    if b <= _BLOCK:  # one block: its arrays are the result
+        analog, digital, trace, converged = _momentum_sgd(r1_stack, nt_rf, cfg, seeds, optimize_digital)
+    else:
+        analog = np.empty((b, nt, nt_rf), dtype=complex)
+        digital = np.empty((b, nt_rf, ns), dtype=complex)
+        converged = np.empty(b, dtype=bool)
+        for lo in range(0, b, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            analog[blk], digital[blk], block_trace, converged[blk] = _momentum_sgd(
+                r1_stack[blk], nt_rf, cfg, seeds[blk], optimize_digital
+            )
+            length = len(block_trace)
+            if lo == 0:
+                trace = np.empty((length, b))
+            elif length > len(trace):  # the earlier blocks repeat their final losses
+                trace = np.concatenate([trace, np.broadcast_to(trace[-1], (length - len(trace), b))])
+            trace[:length, blk] = block_trace
+            trace[length:, blk] = block_trace[-1]
+            del block_trace  # free the block's loss matrix before the next block allocates its own
+    check_divergence("factorization", trace[0], trace[-1], cfg.learning_rate)
     return power_normalize(HybridFactors(analog=analog, digital=digital)), trace, converged
 
 
@@ -358,15 +384,8 @@ def sgd_momentum_step(
 def _momentum_sgd(
     r1_stack: np.ndarray, nt_rf: int, cfg: FactorizeConfig, seeds, optimize_digital: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The loop of :func:`factorize_sgd_batch`: raw (not power-normalized) analog and digital stacks, the loss matrix and ``converged``."""
-    r1_stack = np.asarray(r1_stack, dtype=complex)
+    """One block of :func:`factorize_sgd_batch`: raw (not power-normalized) analog and digital stacks, the loss matrix and ``converged``."""
     b, nt, ns = r1_stack.shape
-    if not ns <= nt_rf <= nt:
-        raise ValueError(f"ns <= nt_rf <= nt must hold, got ns={ns}, nt_rf={nt_rf}, nt={nt}")
-    if seeds is None:
-        seeds = cfg.seed + np.arange(b)
-    elif len(seeds) != b:
-        raise ValueError(f"got {len(seeds)} seeds for {b} instances")
     phases = np.empty((b, nt, nt_rf))
     digital = np.empty((b, nt_rf, ns), dtype=complex)
     for i, seed in enumerate(seeds):
@@ -382,7 +401,11 @@ def _momentum_sgd(
     analog = analog_from_phases(phases)
     out_analog, out_digital = np.empty_like(analog), np.empty_like(digital)
     err = r1_stack - analog @ digital
-    trace = [np.linalg.norm(err, axis=(1, 2))]
+    # one row per iteration, written in place; the rows after the last
+    # iteration run are never touched, so they take no memory
+    trace = np.empty((cfg.max_iters + 1, b))
+    trace[0] = np.linalg.norm(err, axis=(1, 2))
+    it = 0
     # a diverging run overflows the rotation polynomials; the check after the
     # loop reports it, so the loop does not also warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -397,9 +420,8 @@ def _momentum_sgd(
             else:
                 _rotate_analog(analog, phases, v_phases, root_nt)
             err = r1_stack - analog @ digital
-            loss = trace[-1].copy()  # a stopped instance repeats its final loss
-            loss[rows] = np.linalg.norm(err, axis=(1, 2))
-            trace.append(loss)
+            trace[it] = trace[it - 1]  # a stopped instance repeats its final loss
+            trace[it, rows] = np.linalg.norm(err, axis=(1, 2))
             # the rule fires only at window ends, where the analog stack is exact
             if it % STOP_WINDOW != 0:
                 continue
@@ -415,6 +437,4 @@ def _momentum_sgd(
             if not len(rows):
                 break
     out_analog[rows], out_digital[rows] = analog, digital
-    trace = np.asarray(trace)
-    check_divergence("factorization", trace[0], trace[-1], cfg.learning_rate)
-    return out_analog, out_digital, trace, converged
+    return out_analog, out_digital, trace[: it + 1], converged

@@ -94,9 +94,14 @@ class MseCurve:
     channels: int
 
 
+def noise_variance_for_snr(snr_db: float, ns: int) -> float:
+    """Per-antenna noise variance for an SNR defined as total transmit power ns over noise power."""
+    return ns * 10.0 ** (-snr_db / 10.0)
+
+
 def noise_sigma_for_snr(snr_db: float, ns: int) -> float:
-    """Per-antenna noise std for an SNR defined as total transmit power ns over noise power."""
-    return float(np.sqrt(ns * 10.0 ** (-snr_db / 10.0)))
+    """Per-antenna noise std, the square root of :func:`noise_variance_for_snr`."""
+    return float(np.sqrt(noise_variance_for_snr(snr_db, ns)))
 
 
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
@@ -356,7 +361,7 @@ def spectral_efficiency(
     cov = comb_h @ combiner
     ns = precoder.shape[-1]
     snr_db = np.asarray(snr_db, dtype=float)
-    sigma2 = np.array([ns * 10.0 ** (-float(snr) / 10.0) for snr in snr_db.ravel()])
+    sigma2 = np.array([noise_variance_for_snr(float(snr), ns) for snr in snr_db.ravel()])
     rn = sigma2.reshape(snr_db.shape + (1,) * cov.ndim) * cov
     try:
         m = np.linalg.solve(rn, gram)

@@ -1,11 +1,14 @@
 import functools
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridprec.precoder as precoder_module
 from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import RankDeficiencyError, gmd, svd
 from hybridprec.precoder import (
@@ -365,6 +368,26 @@ class TestFactorizeSgdBatch:
         with pytest.raises(ValueError, match=f"got {n_seeds} seeds for 3 instances"):
             factorize_sgd_batch(targets, 4, cfg, seeds=list(range(n_seeds)))
 
+    def test_empty_stack(self):
+        cfg = FactorizeConfig(learning_rate=0.01, max_iters=120, tolerance=0.0, seed=0)
+        factors, trace, converged = factorize_sgd_batch(np.empty((0, 8, 2), dtype=complex), 4, cfg)
+        assert factors.analog.shape == (0, 8, 4) and factors.digital.shape == (0, 4, 2)
+        assert trace.shape == (121, 0) and trace.dtype == float
+        assert converged.shape == (0,) and converged.dtype == bool
+
+    def test_peak_memory_is_about_one_loss_matrix(self):
+        # the loss matrix is written in place: no per-iteration rows, no stacking copy
+        ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 64, 1, 0)
+        cfg = FactorizeConfig(learning_rate=0.02, max_iters=3000, tolerance=0.0)
+        tracemalloc.start()
+        try:
+            _, trace, _ = factorize_sgd_batch(ens.r1, 4, cfg, seeds=ens.factor_seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.shape == (3001, 64)
+        assert peak < 1.75 * trace.nbytes
+
     def test_one_batched_normalization_equals_per_instance_calls(self):
         ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 40, 5, 0)
         r1 = ens.r1.copy()
@@ -420,8 +443,6 @@ class TestRotatedAnalogStep:
         return ens.r1, ens.factor_seeds
 
     def test_instance_independent_of_its_batch(self, monkeypatch):
-        import hybridprec.precoder as precoder_module
-
         r1, seeds = self.ensemble(5)
         r1 = r1.copy()
         r1[2] *= 20.0  # a large first phase step: this instance takes the exact fallback
@@ -441,8 +462,8 @@ class TestRotatedAnalogStep:
                 np.testing.assert_array_equal(trace[:, k], full_trace[:, i])
                 np.testing.assert_array_equal(factors[k].analog, full_factors[i].analog)
                 np.testing.assert_array_equal(factors[k].digital, full_factors[i].digital)
-        # rotation blocks of two instances: 2, 2 and 1 per iteration
-        monkeypatch.setattr(precoder_module, "_ROTATION_BLOCK", 2 * 16 * 4)
+        # factorizer blocks of two instances: 2, 2 and 1
+        monkeypatch.setattr(precoder_module, "_BLOCK", 2)
         factors, trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
         np.testing.assert_array_equal(trace, full_trace)
         for k in range(5):
@@ -474,8 +495,6 @@ class TestRotatedAnalogStep:
                 assert np.max(np.abs(np.abs(f.analog) - 1 / np.sqrt(16))) <= 1e-15
 
     def test_exact_every_window_and_before_returning(self, monkeypatch):
-        import hybridprec.precoder as precoder_module
-
         seen = []
         rotate = precoder_module._rotate_analog
 
@@ -528,21 +547,26 @@ class TestPerInstanceStop:
     def test_instance_matches_its_batch_of_one(self, idx, tolerance):
         r1, seeds = stop_ensemble()
         cfg = stop_config(tolerance)
-        factors, trace, converged = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
-        assert converged.dtype == bool and converged.shape == (len(idx),)
-        for k, i in enumerate(idx):
-            (one_factors, one_trace, one_converged), single = alone(i, tolerance)
-            stop = len(one_trace) - 1
-            np.testing.assert_array_equal(trace[: stop + 1, k], one_trace[:, 0])
-            np.testing.assert_array_equal(single.loss_trace, one_trace[:, 0])
-            assert np.all(trace[stop + 1 :, k] == trace[-1, k])  # padded with its final loss
-            assert trace[-1, k] == one_trace[-1, 0] == single.loss_trace[-1]
-            assert converged[k] == one_converged[0] == single.converged
-            for f in (one_factors[0], single.factors):
-                np.testing.assert_array_equal(factors[k].analog, f.analog)
-                np.testing.assert_array_equal(factors[k].digital, f.digital)
-            if stop < cfg.max_iters:
-                assert single.converged
+        # blocks of 5 instances stop at different iterations, so the loss
+        # matrix is stitched from blocks of different lengths and padded
+        for block in (precoder_module._BLOCK, 5):
+            with mock.patch.object(precoder_module, "_BLOCK", block):
+                factors, trace, converged = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
+            assert converged.dtype == bool and converged.shape == (len(idx),)
+            assert len(trace) == max(len(alone(i, tolerance)[0][1]) for i in idx)  # the longest run
+            for k, i in enumerate(idx):
+                (one_factors, one_trace, one_converged), single = alone(i, tolerance)
+                stop = len(one_trace) - 1
+                np.testing.assert_array_equal(trace[: stop + 1, k], one_trace[:, 0])
+                np.testing.assert_array_equal(single.loss_trace, one_trace[:, 0])
+                assert np.all(trace[stop + 1 :, k] == trace[-1, k])  # padded with its final loss
+                assert trace[-1, k] == one_trace[-1, 0] == single.loss_trace[-1]
+                assert converged[k] == one_converged[0] == single.converged
+                for f in (one_factors[0], single.factors):
+                    np.testing.assert_array_equal(factors[k].analog, f.analog)
+                    np.testing.assert_array_equal(factors[k].digital, f.digital)
+                if stop < cfg.max_iters:
+                    assert single.converged
 
 
 class TestSystemDims:
