@@ -420,8 +420,8 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     targets = data.targets
     rng = np.random.default_rng(cfg.seed)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
-    start_loss, _, _ = _batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)
-    history = []
+    # trace[k] is the loss after epoch k, as the factorizer's trace[k] is after step k
+    trace = [_batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)[0]]
     steps = 0
     epoch = 0
     while steps < cfg.max_iters:
@@ -441,11 +441,11 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
             )
             steps += 1
         eval_loss, _, _ = _batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)
-        history.append(eval_loss)
-        if _windowed_stop(history, epoch, cfg.tolerance):
+        trace.append(eval_loss)
+        if _windowed_stop(trace, epoch, cfg.tolerance):
             break
-    check_divergence("training", start_loss, history[-1:], cfg.learning_rate)  # no epoch at max_iters = 0
-    return net, np.asarray(history)
+    check_divergence("training", trace[0], trace[-1], cfg.learning_rate)
+    return net, np.asarray(trace[1:])
 
 
 def infer_precoders(net: Mlp, h: np.ndarray) -> HybridFactors:

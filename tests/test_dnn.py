@@ -29,7 +29,7 @@ from hybridprec.dnn import (
     sgd_momentum_step,
     train,
 )
-from hybridprec.precoder import FactorizationDivergedError, FactorizeConfig, SystemDims, _windowed_stop
+from hybridprec.precoder import STOP_WINDOW, FactorizationDivergedError, FactorizeConfig, SystemDims, _windowed_stop
 from hybridprec.simulate import draw_ensemble
 
 
@@ -443,6 +443,24 @@ class TestTrain:
         with pytest.raises(FactorizationDivergedError, match=r"training diverged .*learning_rate = 1000\.0"):
             train(build_precoder_mlp(dims, seed=1), data, cfg)
 
+    def test_stop_rule_compares_two_full_windows_of_epochs(self, monkeypatch):
+        seen = []
+
+        def recording(trace, it, tolerance):
+            if it % STOP_WINDOW == 0 and it >= 2 * STOP_WINDOW:
+                seen.append((list(trace), it))
+            return _windowed_stop(trace, it, tolerance)
+
+        monkeypatch.setattr(dnn_module, "_windowed_stop", recording)
+        data = build_dataset(self.dims, 4, 9)
+        cfg = FactorizeConfig(learning_rate=0.001, max_iters=2 * STOP_WINDOW, tolerance=0.0, batch=4, seed=1)
+        _, history = train(build_precoder_mlp(self.dims, seed=1), data, cfg)
+        [(trace, it)] = seen  # the rule's one decision, after epoch 100 (one step per epoch)
+        # the start loss, then epoch k's loss at index k: epochs 1-50 against 51-100
+        assert len(trace) == it + 1 and trace[1:] == list(history)
+        assert len(trace[it - 2 * STOP_WINDOW + 1 : it - STOP_WINDOW + 1]) == STOP_WINDOW
+        assert len(trace[it - STOP_WINDOW + 1 : it + 1]) == STOP_WINDOW
+
     def test_requires_codec(self):
         net = build_mlp(4, [LayerSpec(2, "clamp")], clamp_max=1.0, seed=0)
         data = build_dataset(self.dims, 2, 9)
@@ -480,7 +498,7 @@ def reference_train(net, data, cfg):
 
     samples = list(range(len(data)))
     rng = np.random.default_rng(cfg.seed)
-    history, steps, epoch = [], 0, 0
+    history, steps, epoch = [loss_and_grad(samples, "infer", None)[0]], 0, 0
     n_w = len(net.weights)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
     while steps < cfg.max_iters:
@@ -502,7 +520,7 @@ def reference_train(net, data, cfg):
         history.append(eval_loss)
         if _windowed_stop(history, epoch, cfg.tolerance):
             break
-    return net, np.asarray(history)
+    return net, np.asarray(history[1:])
 
 
 class TestTrainMatchesReference:

@@ -376,17 +376,20 @@ class TestFactorizeSgdBatch:
         assert converged.shape == (0,) and converged.dtype == bool
 
     def test_peak_memory_is_about_one_loss_matrix(self):
-        # the loss matrix is written in place: no per-iteration rows, no stacking copy
+        # the loss matrix is written in place: no per-iteration rows, no stacking
+        # copy, and four blocks of 16 write into the same matrix as one block does
         ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 64, 1, 0)
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=3000, tolerance=0.0)
-        tracemalloc.start()
-        try:
-            _, trace, _ = factorize_sgd_batch(ens.r1, 4, cfg, seeds=ens.factor_seeds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert trace.shape == (3001, 64)
-        assert peak < 1.75 * trace.nbytes
+        for block, bound in ((precoder_module._BLOCK, 1.75), (16, 1.25)):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(precoder_module, "_BLOCK", block):
+                    _, trace, _ = factorize_sgd_batch(ens.r1, 4, cfg, seeds=ens.factor_seeds)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert trace.shape == (3001, 64)
+            assert peak < bound * trace.nbytes, block
 
     def test_one_batched_normalization_equals_per_instance_calls(self):
         ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 40, 5, 0)
@@ -394,7 +397,10 @@ class TestFactorizeSgdBatch:
         r1[::2] *= 3.0  # targets at 9 times the power budget
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=100, tolerance=0.0)
         factors, _, _ = factorize_sgd_batch(r1, 4, cfg, seeds=ens.factor_seeds)
-        analog, digital, _, _ = _momentum_sgd(r1, 4, cfg, ens.factor_seeds, True)
+        analog = np.empty((40, 16, 4), dtype=complex)
+        digital = np.empty((40, 4, 2), dtype=complex)
+        trace, converged = np.empty((101, 40)), np.zeros(40, dtype=bool)
+        assert _momentum_sgd(r1, 4, cfg, ens.factor_seeds, True, analog, digital, trace, converged) == 100
         assert len(factors) == 40
         products = []
         scaled = 0
@@ -548,7 +554,7 @@ class TestPerInstanceStop:
         r1, seeds = stop_ensemble()
         cfg = stop_config(tolerance)
         # blocks of 5 instances stop at different iterations, so the loss
-        # matrix is stitched from blocks of different lengths and padded
+        # matrix holds blocks of different lengths, each padded to the longest
         for block in (precoder_module._BLOCK, 5):
             with mock.patch.object(precoder_module, "_BLOCK", block):
                 factors, trace, converged = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
@@ -567,6 +573,20 @@ class TestPerInstanceStop:
                     np.testing.assert_array_equal(factors[k].digital, f.digital)
                 if stop < cfg.max_iters:
                     assert single.converged
+
+    @pytest.mark.parametrize("tolerance", [1e-2, 3e-2])
+    @pytest.mark.parametrize("block", [precoder_module._BLOCK, 5])
+    def test_early_stop_returns_only_the_rows_run(self, tolerance, block):
+        # every instance stops by iteration 600, far below a cap of 20000
+        r1, seeds = stop_ensemble()
+        cfg = replace(stop_config(tolerance), max_iters=20000)
+        with mock.patch.object(precoder_module, "_BLOCK", block):
+            _, trace, converged = factorize_sgd_batch(r1, 2, cfg, seeds=seeds)
+        _, capped, _ = factorize_sgd_batch(r1, 2, stop_config(tolerance), seeds=seeds)
+        assert converged.all()
+        assert trace.base is None  # not a view that keeps the unrun rows alive
+        assert trace.shape == (max(len(alone(i, tolerance)[0][1]) for i in range(12)), 12)
+        np.testing.assert_array_equal(trace, capped)
 
 
 class TestSystemDims:
