@@ -19,6 +19,7 @@ finite-difference gradient audits of forward and backward are meaningful.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,10 +27,12 @@ import numpy as np
 from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import gmd
 from hybridprec.precoder import (
+    STOP_WINDOW,
     FactorizeConfig,
     HybridFactors,
     SystemDims,
-    _windowed_stop,
+    _first_windows,
+    _window_end,
     analog_from_phases,
     check_divergence,
     factorization_gradient_batch,
@@ -420,8 +423,9 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     targets = data.targets
     rng = np.random.default_rng(cfg.seed)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
-    # trace[k] is the loss after epoch k, as the factorizer's trace[k] is after step k
+    # trace[k] is the loss after epoch k, as the factorizer's losses are after step k
     trace = [_batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)[0]]
+    prev_best, best = _first_windows()
     steps = 0
     epoch = 0
     while steps < cfg.max_iters:
@@ -442,8 +446,11 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
             steps += 1
         eval_loss, _, _ = _batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)
         trace.append(eval_loss)
-        if _windowed_stop(trace, epoch, cfg.tolerance):
-            break
+        np.minimum(best, eval_loss, out=best)
+        if epoch % STOP_WINDOW == 0:
+            stop, prev_best, best = _window_end(prev_best, best, cfg.tolerance)
+            if stop:
+                break
     check_divergence("training", trace[0], trace[-1], cfg.learning_rate)
     return net, np.asarray(trace[1:])
 
@@ -486,29 +493,33 @@ def load_mlp(path: str) -> Mlp:
     """Rebuild a network saved by :func:`save_mlp`.
 
     The weights and biases keep the dtype they were saved in: a float32
-    stock network loads as float32, a float64 file as float64. A file whose
-    arrays are not all of one float32 or float64 dtype is refused.
+    stock network loads as float32, a float64 file as float64. A truncated
+    file, one lacking an array or of another format version, or one whose
+    arrays are not all float32 or all float64 raises ValueError naming it.
     """
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != MLP_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        specs = tuple(
-            LayerSpec(int(w), str(a), float(s))
-            for w, a, s in zip(data["widths"], data["activations"], data["noise_sigmas"])
-        )
-        codec_dims = data["codec_dims"]
-        codec = (
-            PrecoderCodec(nt=int(codec_dims[0]), nt_rf=int(codec_dims[1]), ns=int(codec_dims[2]))
-            if codec_dims[0] >= 0
-            else None
-        )
-        n = len(specs)
-        return Mlp(
-            input_dim=int(data["input_dim"]),
-            specs=specs,
-            weights=[data[f"w{i}"] for i in range(n)],
-            biases=[data[f"b{i}"] for i in range(n)],
-            clamp_max=float(data["clamp_max"]),
-            codec=codec,
-        )
+    try:  # np.load would take a file without the zip signature for pickled data
+        with np.lib.npyio.NpzFile(path, allow_pickle=False) as data:
+            version = int(data["format_version"])
+            if version != MLP_FORMAT_VERSION:
+                raise ValueError(f"unsupported model format version {version}")
+            specs = tuple(
+                LayerSpec(int(w), str(a), float(s))
+                for w, a, s in zip(data["widths"], data["activations"], data["noise_sigmas"])
+            )
+            codec_dims = data["codec_dims"]
+            codec = (
+                PrecoderCodec(nt=int(codec_dims[0]), nt_rf=int(codec_dims[1]), ns=int(codec_dims[2]))
+                if codec_dims[0] >= 0
+                else None
+            )
+            n = len(specs)
+            return Mlp(
+                input_dim=int(data["input_dim"]),
+                specs=specs,
+                weights=[data[f"w{i}"] for i in range(n)],
+                biases=[data[f"b{i}"] for i in range(n)],
+                clamp_max=float(data["clamp_max"]),
+                codec=codec,
+            )
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot load the model {path}: {exc}") from exc

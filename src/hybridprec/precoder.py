@@ -121,11 +121,7 @@ _BLOCK = 512
 
 @dataclass(frozen=True)
 class FactorizeResult:
-    """Factorization output: power-normalized factors plus the loss trajectory.
-
-    ``loss_trace[0]`` is the loss at the initial point; ``loss_trace[k]`` the
-    loss after iteration k.
-    """
+    """Power-normalized factors, the loss trajectory (``loss_trace[k]`` after step k; 0: the start) and ``converged``."""
 
     factors: HybridFactors
     loss_trace: np.ndarray
@@ -260,29 +256,28 @@ def _rotate_analog(analog: np.ndarray, phases: np.ndarray, step: np.ndarray, roo
         analog[far] = np.exp(1j * phases[far]) / root_nt
 
 
-def _windowed_stop(trace, it: int, tolerance: float):
-    """True where the last full window's best loss stopped improving on the previous one's.
+def _first_windows(shape=()):
+    """The stop rule's two minima before the first step; the last full window's is NaN, so the first end stops nothing."""
+    return np.full(shape, np.nan), np.full(shape, np.inf)
 
-    ``trace[k]`` is the loss after step k, or a row of per-instance losses, in
-    which case the rule is applied to each column and an array is returned.
-    """
-    if it % STOP_WINDOW != 0 or it < 2 * STOP_WINDOW:
-        return False
-    prev = np.min(trace[it - 2 * STOP_WINDOW + 1 : it - STOP_WINDOW + 1], axis=0)
-    cur = np.min(trace[it - STOP_WINDOW + 1 : it + 1], axis=0)
-    return prev - cur < tolerance * np.maximum(prev, np.finfo(float).tiny)
+
+def _window_end(prev_best, best, tolerance: float):
+    """The stop rule of both momentum-SGD loops at a window end: ``stop``, True where the window's best loss
+    ``best`` improved on the previous window's ``prev_best`` by less than ``tolerance``, relatively, and the next
+    window's two minima."""
+    return prev_best - best < tolerance * np.maximum(prev_best, np.finfo(float).tiny), best, np.full_like(best, np.inf)
 
 
 def factorize_sgd(r1: np.ndarray, nt_rf: int, cfg: FactorizeConfig) -> FactorizeResult:
     """Factor R1 into constant-modulus analog and digital parts by momentum SGD.
 
-    A batch of one of :func:`factorize_sgd_batch`, seeded by ``cfg.seed``, so
-    the trace, the factors and ``converged`` are bit-equal to that instance's
-    in any batch. ``converged`` is False when the run hit ``cfg.max_iters``
-    without the stop rule firing.
+    A batch of one of :func:`factorize_sgd_batch`, seeded by ``cfg.seed``: the
+    factors and ``converged`` are bit-equal to that instance's in any batch,
+    and the trace (the root of the mean squared loss) is its loss bit for bit.
+    ``converged`` is False when the run hit ``cfg.max_iters`` unstopped.
     """
-    factors, trace, converged = factorize_sgd_batch(np.asarray(r1)[None], nt_rf, cfg, seeds=[cfg.seed])
-    return FactorizeResult(factors=factors[0], loss_trace=trace[:, 0], converged=bool(converged[0]))
+    factors, mse, converged = factorize_sgd_batch(np.asarray(r1)[None], nt_rf, cfg, seeds=[cfg.seed])
+    return FactorizeResult(factors=factors[0], loss_trace=np.sqrt(mse), converged=bool(converged[0]))
 
 
 def factorize_sgd_batch(
@@ -294,32 +289,31 @@ def factorize_sgd_batch(
 ) -> tuple[HybridFactors, np.ndarray, np.ndarray]:
     """Factor a stack of targets (b x nt x ns) in lockstep, vectorized over the batch.
 
-    The squared loss is optimized for smooth gradients; the trace reports
+    The squared loss is optimized for smooth gradients; the stop rule reads
     the root (the Frobenius mismatch itself). An instance stops when the
     relative improvement of its windowed-minimum loss between consecutive
     STOP_WINDOW-iteration windows drops below ``cfg.tolerance``, or after
     ``cfg.max_iters`` steps. It then leaves the working arrays, so the cost
     of an iteration falls as instances finish, and no instance's result
-    depends on its batch. The batch runs in blocks of _BLOCK instances, each
-    block through all of its iterations so that its working arrays stay in
-    cache, and each block writes into the one set of outputs allocated here.
-    The loss matrix reserves (max_iters + 1) x b x 8 bytes of address space
-    (96 MB at 20k instances x 600 iterations), takes memory only for the rows
-    run, and is shrunk in place to the longest run. The analog stack is
-    rotated in place by exp(j*step) between exact recomputations (module
-    docstring), which keeps the losses within about 1e-13 relative of an
-    exact-exp loop.
+    depends on its batch; of its losses the loop keeps the two window
+    minima and the latest. The batch runs in blocks of _BLOCK instances,
+    each through all of its iterations so that its working arrays stay in
+    cache. The analog stack is rotated in place by exp(j*step) between exact
+    recomputations (module docstring), which keeps the losses within about
+    1e-13 relative of an exact-exp loop.
     ``seeds[i]`` seeds instance i (default: cfg.seed + i); a ``seeds`` whose
     length is not b raises ValueError. With ``optimize_digital=False`` only
     the phases move, which is the analog-only comparator of the convergence
     experiments.
 
     Returns the power-normalized factors as one stacked :class:`HybridFactors`
-    (one batched normalization; ``factors[i]`` is instance i), the loss
-    matrix (longest run + 1) x b, whose column i repeats instance i's final
-    loss after its stop, and the per-instance ``converged`` flags (b,), True
-    where the stop rule fired before or at ``cfg.max_iters``. Raises
-    :class:`FactorizationDivergedError` when any instance ends with a
+    (``factors[i]`` is instance i), the mean squared loss after each step up
+    to the longest run, (longest + 1,), a stopped instance counting at its
+    final loss (zeros for an empty stack), and the per-instance ``converged``
+    flags (b,), True where the stop rule fired before or at ``cfg.max_iters``.
+    Up to _BLOCK instances the mean is numpy's pairwise ``np.mean`` over the
+    batch; above, the blocks' sums are added in turn, a few ulp from it.
+    Raises :class:`FactorizationDivergedError` when any instance ends with a
     non-finite loss or above its starting loss (a learning rate too large
     for the target), so a diverged run never turns into a BER figure.
     """
@@ -334,21 +328,17 @@ def factorize_sgd_batch(
     analog = np.empty((b, nt, nt_rf), dtype=complex)
     digital = np.empty((b, nt_rf, ns), dtype=complex)
     converged = np.zeros(b, dtype=bool)
-    trace = np.empty((cfg.max_iters + 1, b))
-    blocks = [slice(lo, lo + _BLOCK) for lo in range(0, max(b, 1), _BLOCK)]  # an empty stack is one empty block
-    stops = [
+    start, final = np.empty(b), np.empty(b)
+    sq_sum = np.zeros(cfg.max_iters + 1)
+    longest = max(
         _momentum_sgd(
             r1_stack[blk], nt_rf, cfg, seeds[blk], optimize_digital,
-            analog[blk], digital[blk], trace[:, blk], converged[blk],
+            analog[blk], digital[blk], converged[blk], start[blk], final[blk], sq_sum,
         )
-        for blk in blocks
-    ]
-    longest = max(stops)
-    for blk, stop in zip(blocks, stops):  # a stopped column repeats its final loss
-        trace[stop + 1 : longest + 1, blk] = trace[stop, blk]
-    trace.resize((longest + 1, b))  # hands the unrun rows back; raises if a view of them is still alive
-    check_divergence("factorization", trace[0], trace[-1], cfg.learning_rate)
-    return power_normalize(HybridFactors(analog=analog, digital=digital)), trace, converged
+        for blk in (slice(lo, lo + _BLOCK) for lo in range(0, max(b, 1), _BLOCK))  # an empty stack is one empty block
+    )
+    check_divergence("factorization", start, final, cfg.learning_rate)
+    return power_normalize(HybridFactors(analog=analog, digital=digital)), sq_sum[: longest + 1] / max(b, 1), converged
 
 
 def check_divergence(what: str, start, final, learning_rate: float) -> None:
@@ -384,9 +374,12 @@ def sgd_momentum_step(
 
 def _momentum_sgd(
     r1_stack: np.ndarray, nt_rf: int, cfg: FactorizeConfig, seeds, optimize_digital: bool,
-    out_analog: np.ndarray, out_digital: np.ndarray, trace: np.ndarray, converged: np.ndarray,
+    out_analog: np.ndarray, out_digital: np.ndarray, converged: np.ndarray,
+    start: np.ndarray, final: np.ndarray, sq_sum: np.ndarray,
 ) -> int:
-    """One block of :func:`factorize_sgd_batch` into the caller's slices (raw factors; ``converged`` given False); returns its last iteration."""
+    """One block of :func:`factorize_sgd_batch`; returns its last iteration. Writes the caller's slices of the raw
+    factors, ``converged`` (given False) and the start and final losses, and adds to ``sq_sum[k]`` the block's sum of
+    squared losses after step k, a stopped instance counting at its final loss."""
     b, nt, ns = r1_stack.shape
     phases = np.empty((b, nt, nt_rf))
     digital = np.empty((b, nt_rf, ns), dtype=complex)
@@ -401,7 +394,9 @@ def _momentum_sgd(
 
     analog = analog_from_phases(phases)
     err = r1_stack - analog @ digital
-    trace[0] = np.linalg.norm(err, axis=(1, 2))
+    start[:] = final[:] = np.linalg.norm(err, axis=(1, 2))  # final: each instance's latest loss
+    sq_sum[0] += np.add.reduce(final * final)
+    prev_best, best = _first_windows(b)
     it = 0
     # a diverging run overflows the rotation polynomials; the check after the
     # loop reports it, so the loop does not also warn
@@ -417,21 +412,23 @@ def _momentum_sgd(
             else:
                 _rotate_analog(analog, phases, v_phases, root_nt)
             err = r1_stack - analog @ digital
-            trace[it] = trace[it - 1]  # a stopped instance repeats its final loss
-            trace[it, rows] = np.linalg.norm(err, axis=(1, 2))
+            loss = np.sqrt(np.add.reduce((err.conj() * err).real, axis=(1, 2)))  # np.linalg.norm, without its checks
+            final[rows] = loss
+            sq_sum[it] += np.add.reduce(final * final)  # np.sum without its per-call wrapper
+            np.minimum(best, loss, out=best)
             # the rule fires only at window ends, where the analog stack is exact
             if it % STOP_WINDOW != 0:
                 continue
-            # the rule gives a plain False before the second window
-            stop = np.broadcast_to(_windowed_stop(trace, it, cfg.tolerance), b)[rows]
+            stop, prev_best, best = _window_end(prev_best, best, cfg.tolerance)
             if not stop.any():
                 continue
             done = rows[stop]
             out_analog[done], out_digital[done], converged[done] = analog[stop], digital[stop], True
-            rows, r1_stack, phases, digital, v_phases, v_digital, analog, err = (
-                x[~stop] for x in (rows, r1_stack, phases, digital, v_phases, v_digital, analog, err)
+            rows, r1_stack, phases, digital, v_phases, v_digital, analog, err, prev_best, best = (
+                x[~stop] for x in (rows, r1_stack, phases, digital, v_phases, v_digital, analog, err, prev_best, best)
             )
             if not len(rows):
                 break
     out_analog[rows], out_digital[rows] = analog, digital
+    sq_sum[it + 1 :] += np.add.reduce(final * final)  # every instance has stopped at its final loss
     return it

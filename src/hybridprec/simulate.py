@@ -424,16 +424,8 @@ def mse_vs_iterations(
     if method not in MSE_METHODS:
         raise ValueError(f"method must be one of {MSE_METHODS}, got {method!r}")
     targets = gmd(channels, dims.ns).r1
-    _, trace, _ = factorize_sgd_batch(
-        targets,
-        dims.nt_rf,
-        cfg,
-        optimize_digital=(method == "sgd_hybrid"),
-    )
-    mse = np.mean(trace**2, axis=1)
-    return MseCurve(
-        scheme=method, iteration=np.arange(len(mse)), mse=mse, channels=len(channels)
-    )
+    _, mse, _ = factorize_sgd_batch(targets, dims.nt_rf, cfg, optimize_digital=(method == "sgd_hybrid"))
+    return MseCurve(scheme=method, iteration=np.arange(len(mse)), mse=mse, channels=len(channels))
 
 
 def iterations_to_plateau(curve: MseCurve, rel: float = 0.05) -> int:

@@ -398,6 +398,23 @@ class TestModelCheck:
         assert rc == 1
         assert "does not fit the config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "two bytes", "without w6"])
+    def test_broken_model_file_exits_with_error(self, tmp_path, capsys, damage):
+        path = self.write_model_config(tmp_path, SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2))
+        model = tmp_path / "model.npz"
+        if damage == "truncated":
+            model.write_bytes(model.read_bytes()[: model.stat().st_size // 2])
+        elif damage == "two bytes":  # shorter than the zip signature
+            model.write_bytes(model.read_bytes()[:2])
+        else:
+            arrays = dict(np.load(model))
+            del arrays["w6"]
+            np.savez(model, **arrays)
+        rc = main(["se", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "model.npz" in err
+
 
 class TestPlotScript:
     def test_ber_script_logscale_and_columns(self, tmp_path):

@@ -29,7 +29,7 @@ from hybridprec.dnn import (
     sgd_momentum_step,
     train,
 )
-from hybridprec.precoder import STOP_WINDOW, FactorizationDivergedError, FactorizeConfig, SystemDims, _windowed_stop
+from hybridprec.precoder import STOP_WINDOW, FactorizationDivergedError, FactorizeConfig, SystemDims
 from hybridprec.simulate import draw_ensemble
 
 
@@ -445,27 +445,38 @@ class TestTrain:
 
     def test_stop_rule_compares_two_full_windows_of_epochs(self, monkeypatch):
         seen = []
+        window_end = dnn_module._window_end
 
-        def recording(trace, it, tolerance):
-            if it % STOP_WINDOW == 0 and it >= 2 * STOP_WINDOW:
-                seen.append((list(trace), it))
-            return _windowed_stop(trace, it, tolerance)
+        def recording(prev, cur, tolerance):
+            seen.append((float(prev), float(cur)))
+            return window_end(prev, cur, tolerance)
 
-        monkeypatch.setattr(dnn_module, "_windowed_stop", recording)
+        monkeypatch.setattr(dnn_module, "_window_end", recording)
         data = build_dataset(self.dims, 4, 9)
         cfg = FactorizeConfig(learning_rate=0.001, max_iters=2 * STOP_WINDOW, tolerance=0.0, batch=4, seed=1)
         _, history = train(build_precoder_mlp(self.dims, seed=1), data, cfg)
-        [(trace, it)] = seen  # the rule's one decision, after epoch 100 (one step per epoch)
-        # the start loss, then epoch k's loss at index k: epochs 1-50 against 51-100
-        assert len(trace) == it + 1 and trace[1:] == list(history)
-        assert len(trace[it - 2 * STOP_WINDOW + 1 : it - STOP_WINDOW + 1]) == STOP_WINDOW
-        assert len(trace[it - STOP_WINDOW + 1 : it + 1]) == STOP_WINDOW
+        # one step per epoch: the rule is asked after epochs 50 and 100, and decides
+        # only at the second, on the best of epochs 1-50 against the best of 51-100
+        assert len(history) == 2 * STOP_WINDOW
+        [(first_prev, first_cur), (prev, cur)] = seen
+        assert np.isnan(first_prev) and first_cur == np.min(history[:STOP_WINDOW])
+        assert prev == np.min(history[:STOP_WINDOW]) and cur == np.min(history[STOP_WINDOW:])
 
     def test_requires_codec(self):
         net = build_mlp(4, [LayerSpec(2, "clamp")], clamp_max=1.0, seed=0)
         data = build_dataset(self.dims, 2, 9)
         with pytest.raises(ValueError):
             train(net, data, FactorizeConfig(max_iters=1))
+
+
+def windowed_stop(history, epoch, tolerance):
+    """The stop rule on the whole per-epoch list: the best loss of the last
+    STOP_WINDOW epochs against the best of the window before it."""
+    if epoch % STOP_WINDOW != 0 or epoch < 2 * STOP_WINDOW:
+        return False
+    prev = np.min(history[epoch - 2 * STOP_WINDOW + 1 : epoch - STOP_WINDOW + 1])
+    cur = np.min(history[epoch - STOP_WINDOW + 1 : epoch + 1])
+    return prev - cur < tolerance * np.maximum(prev, np.finfo(float).tiny)
 
 
 def reference_train(net, data, cfg):
@@ -518,7 +529,7 @@ def reference_train(net, data, cfg):
             steps += 1
         eval_loss, _, _ = loss_and_grad(samples, "infer", None)
         history.append(eval_loss)
-        if _windowed_stop(history, epoch, cfg.tolerance):
+        if windowed_stop(history, epoch, cfg.tolerance):
             break
     return net, np.asarray(history[1:])
 

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -39,6 +40,13 @@ def representable_target(nt, nt_rf, ns, seed):
     digital = rng.standard_normal((nt_rf, ns)) + 1j * rng.standard_normal((nt_rf, ns))
     q, _ = np.linalg.qr(analog @ digital)
     return q
+
+
+def mean_square(traces):
+    """Per step, np.mean over instances of the squared loss, each trace padded with its final loss to the longest."""
+    longest = max(len(t) for t in traces)
+    losses = np.stack([np.pad(t, (0, longest - len(t)), mode="edge") for t in traces], axis=1)
+    return np.mean(losses**2, axis=1)
 
 
 class TestFullyDigital:
@@ -330,13 +338,13 @@ class TestFactorizeSgdBatch:
     def test_matches_single_instance_runs(self):
         targets = np.stack([representable_target(8, 4, 2, seed=s) for s in (10, 11, 12)])
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=60, tolerance=0.0, seed=0)
-        factors, trace, _ = factorize_sgd_batch(targets, 4, cfg, seeds=[10, 11, 12])
-        for i, seed in enumerate((10, 11, 12)):
-            single = factorize_sgd(
-                targets[i], 4, FactorizeConfig(learning_rate=0.01, max_iters=60, tolerance=0.0, seed=seed)
-            )
-            np.testing.assert_allclose(trace[:, i], single.loss_trace, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(factors[i].product, single.factors.product, rtol=1e-9, atol=1e-11)
+        factors, mse, converged = factorize_sgd_batch(targets, 4, cfg, seeds=[10, 11, 12])
+        singles = [factorize_sgd(targets[i], 4, replace(cfg, seed=seed)) for i, seed in enumerate((10, 11, 12))]
+        np.testing.assert_array_equal(mse, mean_square([single.loss_trace for single in singles]))
+        for i, single in enumerate(singles):
+            np.testing.assert_array_equal(factors[i].analog, single.factors.analog)
+            np.testing.assert_array_equal(factors[i].digital, single.factors.digital)
+            assert converged[i] == single.converged
 
     def test_divergence_raises(self):
         targets = np.stack([representable_target(8, 4, 2, seed=s) for s in (1, 2, 3)])
@@ -370,26 +378,45 @@ class TestFactorizeSgdBatch:
 
     def test_empty_stack(self):
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=120, tolerance=0.0, seed=0)
-        factors, trace, converged = factorize_sgd_batch(np.empty((0, 8, 2), dtype=complex), 4, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no mean of an empty batch
+            factors, mse, converged = factorize_sgd_batch(np.empty((0, 8, 2), dtype=complex), 4, cfg)
         assert factors.analog.shape == (0, 8, 4) and factors.digital.shape == (0, 4, 2)
-        assert trace.shape == (121, 0) and trace.dtype == float
+        assert mse.shape == (121,) and mse.dtype == float and not mse.any()
         assert converged.shape == (0,) and converged.dtype == bool
 
-    def test_peak_memory_is_about_one_loss_matrix(self):
-        # the loss matrix is written in place: no per-iteration rows, no stacking
-        # copy, and four blocks of 16 write into the same matrix as one block does
-        ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 64, 1, 0)
-        cfg = FactorizeConfig(learning_rate=0.02, max_iters=3000, tolerance=0.0)
-        for block, bound in ((precoder_module._BLOCK, 1.75), (16, 1.25)):
-            tracemalloc.start()
-            try:
-                with mock.patch.object(precoder_module, "_BLOCK", block):
-                    _, trace, _ = factorize_sgd_batch(ens.r1, 4, cfg, seeds=ens.factor_seeds)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert trace.shape == (3001, 64)
-            assert peak < bound * trace.nbytes, block
+    def test_peak_memory_does_not_grow_with_the_cap(self):
+        # at tolerance 1 every instance stops at the second window's end, so a
+        # cap of 20000 runs what a cap of 600 runs and may hold only its O(cap)
+        # row of squared-loss sums more; 600 instances are two blocks of 512
+        ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 600, 1, 0)
+        for block in (precoder_module._BLOCK, 16):
+            peaks, rows = [], []
+            for cap in (600, 20000):
+                cfg = FactorizeConfig(learning_rate=0.02, max_iters=cap, tolerance=1.0)
+                tracemalloc.start()
+                try:
+                    with mock.patch.object(precoder_module, "_BLOCK", block):
+                        _, mse, converged = factorize_sgd_batch(ens.r1, 4, cfg, seeds=ens.factor_seeds)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert converged.all() and len(mse) == 2 * STOP_WINDOW + 1
+                rows.append(mse)
+            np.testing.assert_array_equal(rows[0], rows[1])
+            assert peaks[1] < 1.2 * peaks[0], (block, peaks)
+
+    def test_mean_over_blocks_within_4_ulp_of_the_singles(self):
+        # 600 instances are two blocks whose sums add one after another, not in
+        # numpy's pairwise order; instances stop at iteration 100 or 150
+        ens = draw_ensemble(STOP_DIMS, 600, 3, 0)
+        cfg = FactorizeConfig(learning_rate=0.1, momentum=0.5, max_iters=150, tolerance=0.05)
+        _, mse, converged = factorize_sgd_batch(ens.r1, 2, cfg, seeds=ens.factor_seeds)
+        singles = [factorize_sgd(r1, 2, replace(cfg, seed=int(seed))) for r1, seed in zip(ens.r1, ens.factor_seeds)]
+        traces = [single.loss_trace for single in singles]
+        assert {len(t) for t in traces} == {2 * STOP_WINDOW + 1, 3 * STOP_WINDOW + 1}
+        np.testing.assert_array_equal(converged, [single.converged for single in singles])
+        np.testing.assert_array_max_ulp(mse, mean_square(traces), maxulp=4)
 
     def test_one_batched_normalization_equals_per_instance_calls(self):
         ens = draw_ensemble(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), 40, 5, 0)
@@ -399,8 +426,8 @@ class TestFactorizeSgdBatch:
         factors, _, _ = factorize_sgd_batch(r1, 4, cfg, seeds=ens.factor_seeds)
         analog = np.empty((40, 16, 4), dtype=complex)
         digital = np.empty((40, 4, 2), dtype=complex)
-        trace, converged = np.empty((101, 40)), np.zeros(40, dtype=bool)
-        assert _momentum_sgd(r1, 4, cfg, ens.factor_seeds, True, analog, digital, trace, converged) == 100
+        converged, start, final, sq_sum = np.zeros(40, dtype=bool), np.empty(40), np.empty(40), np.zeros(101)
+        assert _momentum_sgd(r1, 4, cfg, ens.factor_seeds, True, analog, digital, converged, start, final, sq_sum) == 100
         assert len(factors) == 40
         products = []
         scaled = 0
@@ -460,34 +487,44 @@ class TestRotatedAnalogStep:
             ]
         ).max(axis=(1, 2))
         assert first_step[2] > 0.05 and np.all(np.delete(first_step, 2) < 0.05)
-        full_factors, full_trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        full_factors, full_mse, full_converged = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        traces = [factorize_sgd(r1[i], 4, replace(cfg, seed=int(seeds[i]))).loss_trace for i in range(5)]
+        np.testing.assert_array_equal(full_mse, mean_square(traces))
         runs = [(i, i + 1) for i in range(5)] + [(0, 3)]
         for lo, hi in runs:
-            factors, trace, _ = factorize_sgd_batch(r1[lo:hi], 4, cfg, seeds=seeds[lo:hi])
+            factors, mse, converged = factorize_sgd_batch(r1[lo:hi], 4, cfg, seeds=seeds[lo:hi])
+            np.testing.assert_array_equal(mse, mean_square(traces[lo:hi]))
+            np.testing.assert_array_equal(converged, full_converged[lo:hi])
             for k, i in enumerate(range(lo, hi)):
-                np.testing.assert_array_equal(trace[:, k], full_trace[:, i])
                 np.testing.assert_array_equal(factors[k].analog, full_factors[i].analog)
                 np.testing.assert_array_equal(factors[k].digital, full_factors[i].digital)
-        # factorizer blocks of two instances: 2, 2 and 1
+        # factorizer blocks of two instances: 2, 2 and 1, their sums added in turn
         monkeypatch.setattr(precoder_module, "_BLOCK", 2)
-        factors, trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
-        np.testing.assert_array_equal(trace, full_trace)
+        factors, mse, converged = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        np.testing.assert_array_max_ulp(mse, full_mse, maxulp=4)
+        np.testing.assert_array_equal(converged, full_converged)
         for k in range(5):
             np.testing.assert_array_equal(factors[k].analog, full_factors[k].analog)
+            np.testing.assert_array_equal(factors[k].digital, full_factors[k].digital)
 
     def test_trace_matches_exact_exp_loop(self):
         r1, seeds = self.ensemble(50)
         cfg = FactorizeConfig(learning_rate=0.02, max_iters=600, tolerance=0.0)
-        factors, trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        factors, mse, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
         ref_trace, ref_analog, _ = exact_exp_reference(r1, 4, cfg, seeds)
-        np.testing.assert_allclose(trace, ref_trace, rtol=1e-11)
+        # a relative error e in every loss is at most 2e in the mean of the squares
+        np.testing.assert_allclose(mse, np.mean(ref_trace**2, axis=1), rtol=2e-11)
         np.testing.assert_allclose(factors.analog, ref_analog, rtol=0, atol=1e-11)
+        # each instance's own losses, at every step: a batch of one's trace is its loss bit for bit
+        for i, seed in enumerate(seeds):
+            trace = factorize_sgd(r1[i], 4, replace(cfg, seed=int(seed))).loss_trace
+            np.testing.assert_allclose(trace, ref_trace[:, i], rtol=1e-11)
 
     def test_zero_learning_rate_keeps_analog_exact(self):
         r1, seeds = self.ensemble(4)
         cfg = FactorizeConfig(learning_rate=0.0, max_iters=STOP_WINDOW + 7, tolerance=0.0)
-        factors, trace, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
-        assert np.all(trace == trace[0])
+        factors, mse, _ = factorize_sgd_batch(r1, 4, cfg, seeds=seeds)
+        assert np.all(mse == mse[0])
         for i, seed in enumerate(seeds):
             phases0, _ = init_factor_params(16, 4, 2, seed)
             np.testing.assert_array_equal(factors[i].analog, np.exp(1j * phases0) / np.sqrt(16))
@@ -553,26 +590,29 @@ class TestPerInstanceStop:
     def test_instance_matches_its_batch_of_one(self, idx, tolerance):
         r1, seeds = stop_ensemble()
         cfg = stop_config(tolerance)
-        # blocks of 5 instances stop at different iterations, so the loss
-        # matrix holds blocks of different lengths, each padded to the longest
+        traces = [alone(i, tolerance)[1].loss_trace for i in idx]
+        # blocks of 5 instances stop at different iterations, and each adds its
+        # final losses to the rows after its stop
         for block in (precoder_module._BLOCK, 5):
             with mock.patch.object(precoder_module, "_BLOCK", block):
-                factors, trace, converged = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
+                factors, mse, converged = factorize_sgd_batch(r1[idx], 2, cfg, seeds=seeds[idx])
             assert converged.dtype == bool and converged.shape == (len(idx),)
-            assert len(trace) == max(len(alone(i, tolerance)[0][1]) for i in idx)  # the longest run
+            assert len(mse) == max(len(t) for t in traces)  # the longest run
+            if len(idx) <= block:  # one block: numpy's mean over the batch, bit for bit
+                np.testing.assert_array_equal(mse, mean_square(traces))
+            else:
+                np.testing.assert_array_max_ulp(mse, mean_square(traces), maxulp=4)
             for k, i in enumerate(idx):
-                (one_factors, one_trace, one_converged), single = alone(i, tolerance)
-                stop = len(one_trace) - 1
-                np.testing.assert_array_equal(trace[: stop + 1, k], one_trace[:, 0])
-                np.testing.assert_array_equal(single.loss_trace, one_trace[:, 0])
-                assert np.all(trace[stop + 1 :, k] == trace[-1, k])  # padded with its final loss
-                assert trace[-1, k] == one_trace[-1, 0] == single.loss_trace[-1]
+                (one_factors, one_mse, one_converged), single = alone(i, tolerance)
+                # the root of a batch of one's mean square is its loss, bit for bit
+                np.testing.assert_array_equal(single.loss_trace**2, one_mse)
                 assert converged[k] == one_converged[0] == single.converged
                 for f in (one_factors[0], single.factors):
                     np.testing.assert_array_equal(factors[k].analog, f.analog)
                     np.testing.assert_array_equal(factors[k].digital, f.digital)
-                if stop < cfg.max_iters:
+                if len(single.loss_trace) - 1 < cfg.max_iters:
                     assert single.converged
+
 
     @pytest.mark.parametrize("tolerance", [1e-2, 3e-2])
     @pytest.mark.parametrize("block", [precoder_module._BLOCK, 5])
@@ -581,12 +621,12 @@ class TestPerInstanceStop:
         r1, seeds = stop_ensemble()
         cfg = replace(stop_config(tolerance), max_iters=20000)
         with mock.patch.object(precoder_module, "_BLOCK", block):
-            _, trace, converged = factorize_sgd_batch(r1, 2, cfg, seeds=seeds)
-        _, capped, _ = factorize_sgd_batch(r1, 2, stop_config(tolerance), seeds=seeds)
+            _, mse, converged = factorize_sgd_batch(r1, 2, cfg, seeds=seeds)
+            _, capped, _ = factorize_sgd_batch(r1, 2, stop_config(tolerance), seeds=seeds)
         assert converged.all()
-        assert trace.base is None  # not a view that keeps the unrun rows alive
-        assert trace.shape == (max(len(alone(i, tolerance)[0][1]) for i in range(12)), 12)
-        np.testing.assert_array_equal(trace, capped)
+        assert mse.base is None  # not a view that keeps the unrun rows alive
+        assert len(mse) == max(len(alone(i, tolerance)[1].loss_trace) for i in range(12))
+        np.testing.assert_array_equal(mse, capped)
 
 
 class TestSystemDims:

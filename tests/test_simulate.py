@@ -399,6 +399,52 @@ class TestSharedEnsemble:
             assert np.array_equal(a.errors, b.errors), a.scheme
 
 
+def two_shifter_factors(f: np.ndarray, nt_rf: int) -> HybridFactors:
+    """The exact hybrid factors of a (b, nt, ns) precoder stack when nt_rf >= 2 ns.
+
+    With c = sqrt(nt) max|F_ij| / 2, each entry is c (e^{j(phi+delta)} +
+    e^{j(phi-delta)}) / sqrt(nt), phi = arg F_ij, delta = arccos(|F_ij|
+    sqrt(nt) / 2c): two phase shifters per entry (Sohrabi and Yu, IEEE JSTSP
+    2016). So A = [e^{j(phi+delta)}, e^{j(phi-delta)}, phase 0] / sqrt(nt) and
+    D = c [I; I; 0].
+    """
+    b, nt, ns = f.shape
+    c = np.sqrt(nt) * np.max(np.abs(f), axis=(1, 2), keepdims=True) / 2
+    phi = np.angle(f)
+    delta = np.arccos(np.minimum(np.abs(f) * np.sqrt(nt) / (2 * c), 1.0))
+    phases = np.concatenate([phi + delta, phi - delta, np.zeros((b, nt, nt_rf - 2 * ns))], axis=2)
+    stacked = np.concatenate([np.eye(ns), np.eye(ns), np.zeros((nt_rf - 2 * ns, ns))])
+    return HybridFactors(analog=analog_from_phases(phases), digital=c * stacked)
+
+
+class TestTwoShifterFloor:
+    """At nt_rf >= 2 ns the GMD precoder factors exactly, so the hybrid BER floor is fully_digital_gmd's."""
+
+    @pytest.mark.parametrize("nt_rf", [4, 5])
+    def test_closed_form_meets_the_constraints_and_reproduces_r1(self, nt_rf):
+        dims = SystemDims(nt=16, nr=8, nt_rf=nt_rf, nr_rf=4, ns=2)
+        r1 = draw_ensemble(dims, 2000, seed=1, point=0).r1
+        factors = two_shifter_factors(r1, nt_rf)
+        assert factors.analog.shape == (2000, 16, nt_rf) and factors.digital.shape == (2000, nt_rf, 2)
+        assert np.max(np.abs(np.abs(factors.analog) - 1 / np.sqrt(16))) <= 1e-15
+        assert np.max(np.sum(np.abs(factors.product) ** 2, axis=(1, 2))) <= dims.ns + 1e-12
+        assert np.max(np.abs(factors.product - r1)) <= 1e-14
+
+    def test_link_gives_the_fully_digital_gmd_error_counts(self):
+        # configs/ber.cfg's system and grid at 4000 trials; the bound, set before
+        # the first run, is equal counts at every point
+        grid = [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0]
+        gmd_errors = ber_curve(["fully_digital_gmd"], grid, 4000, DIMS, seed=1)[0].errors
+        channels = draw_ensemble(DIMS, 4000, seed=1, point=0)
+        precoders = two_shifter_factors(channels.r1, DIMS.nt_rf).product
+        q = np.conj(np.swapaxes(channels.w1, 1, 2)) @ channels.h @ precoders
+        for point, snr in enumerate(grid):
+            bits, noise = draw_payload(DIMS, 4000, seed=1, point=point)
+            y = link(channels.h, precoders, channels.w1, qpsk_map(bits), noise_sigma_for_snr(snr, DIMS.ns) * noise)
+            assert np.sum(qpsk_demap(sic_detect(np.triu(q), y)) != bits) == gmd_errors[point], snr
+        assert gmd_errors[-1] < gmd_errors[0]
+
+
 @st.composite
 def system_dims(draw):
     ns = draw(st.integers(1, 3))
