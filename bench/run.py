@@ -24,8 +24,7 @@ Every row is the median of ``--repeats`` timed runs, measured with
   criterion 4 and ``complexity-bench`` time;
 - ``draw_ensemble.t20000``: channels, SVD and GMD of 20000 trials;
 - ``build_dataset.n500``: the MLP training set of 500 channels: draws, GMD
-  targets and feature vectors (trees before the dataset stream took a
-  generator instead of a seed, and get ``default_rng(1)``);
+  targets and feature vectors;
 - ``mlp_train.s1500``: 1500 training steps of the precoder MLP, batch 20, on
   500 channels (the dataset is built once, outside the timing);
 - ``infer_precoders.c500``: one ``infer_precoders`` call of the stock
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -161,8 +159,6 @@ def draw_row():
 
 
 def training_set():
-    if "rng" in inspect.signature(build_dataset).parameters:
-        return build_dataset(DIMS, DATASET_SIZE, np.random.default_rng(1))
     return build_dataset(DIMS, DATASET_SIZE, 1)
 
 

@@ -37,6 +37,7 @@ from hybridprec.simulate import (
     ber_curve,
     mse_vs_iterations,
     se_curve,
+    validate_schemes,
 )
 
 KINDS = ("gmd-check", "ber", "se", "mse", "train", "complexity-bench")
@@ -78,8 +79,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Check every rule on the keys, so a file, an override and a library caller all meet them.
 
-        The field rules of :class:`FactorizeConfig` and :class:`SystemDims` are
-        re-raised as ConfigError. Each message names the keys it concerns.
+        The rules of :class:`FactorizeConfig`, :class:`SystemDims` and :func:`validate_schemes`
+        are re-raised as ConfigError. Each message names the keys it concerns.
         """
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
@@ -103,18 +104,13 @@ class ExperimentConfig:
         trains = self.kind == "train" or (self.kind in ("ber", "se") and "dnn_hybrid" in self.schemes and not self.model)
         if trains and self.train_size < 1:
             raise ConfigError(f"a run that trains needs train_size >= 1, got {self.train_size}")
-        if self.kind in ("ber", "se", "mse") and not self.schemes:
-            raise ConfigError(f"{self.kind} requires a non-empty schemes list")
-        if self.kind in ("ber", "se"):
-            for s in self.schemes:
-                if s not in SCHEME_IDS:
-                    raise ConfigError(f"schemes: unknown scheme {s!r}, expected one of {SCHEME_IDS}")
-            if not self.snr_grid_db:
-                raise ConfigError(f"{self.kind} requires a non-empty snr_grid_db")
-        if self.kind == "mse":
-            for s in self.schemes:
-                if s not in MSE_METHODS:
-                    raise ConfigError(f"mse schemes must be among {MSE_METHODS}, got {s!r}")
+        if self.kind in ("ber", "se", "mse"):
+            try:
+                validate_schemes(self.schemes, MSE_METHODS if self.kind == "mse" else SCHEME_IDS)
+            except ValueError as exc:
+                raise ConfigError(f"schemes: {exc}") from exc
+        if self.kind in ("ber", "se") and not self.snr_grid_db:
+            raise ConfigError(f"{self.kind} requires a non-empty snr_grid_db")
         if trains and self.max_iters < 1:
             # zero steps give an empty history: no loss to report, no trained model
             raise ConfigError(f"a run that trains needs max_iters >= 1, got {self.max_iters}")
@@ -125,22 +121,13 @@ class ExperimentConfig:
                 # zero iterations would time a factorization that does no work
                 raise ConfigError(f"bench_iters must be >= 1, got {self.bench_iters}")
             for nt in self.nt_sweep:
-                if not self.ns <= self.nt_rf <= nt:
-                    raise ConfigError(
-                        f"nt_sweep: dimension rule violated (ns <= nt_rf <= nt) at sweep nt={nt}: "
-                        f"ns={self.ns}, nt_rf={self.nt_rf}"
-                    )
+                try:
+                    replace(self.dims(), nt=nt)
+                except ValueError as exc:
+                    raise ConfigError(f"nt_sweep: dimension rule violated ({exc}) at sweep nt={nt}") from exc
 
     def dims(self) -> SystemDims:
-        return SystemDims(
-            nt=self.nt,
-            nr=self.nr,
-            nt_rf=self.nt_rf,
-            nr_rf=self.nr_rf,
-            ns=self.ns,
-            p_nlos=self.p_nlos,
-            spacing_ratio=self.spacing_ratio,
-        )
+        return SystemDims(**{f.name: getattr(self, f.name) for f in fields(SystemDims)})
 
     def factorize_config(self) -> FactorizeConfig:
         return FactorizeConfig(

@@ -309,8 +309,9 @@ def factorize_sgd_batch(
     Returns the power-normalized factors as one stacked :class:`HybridFactors`
     (``factors[i]`` is instance i), the mean squared loss after each step up
     to the longest run, (longest + 1,), a stopped instance counting at its
-    final loss (zeros for an empty stack), and the per-instance ``converged``
-    flags (b,), True where the stop rule fired before or at ``cfg.max_iters``.
+    final loss (one zero for an empty stack, which runs no step), and the
+    per-instance ``converged`` flags (b,), True where the stop rule fired
+    before or at ``cfg.max_iters``.
     Up to _BLOCK instances the mean is numpy's pairwise ``np.mean`` over the
     batch; above, the blocks' sums are added in turn, a few ulp from it.
     Raises :class:`FactorizationDivergedError` when any instance ends with a
@@ -401,7 +402,8 @@ def _momentum_sgd(
     # a diverging run overflows the rotation polynomials; the check after the
     # loop reports it, so the loop does not also warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, cfg.max_iters + 1):
+        while len(rows) and it < cfg.max_iters:
+            it += 1
             g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
             sgd_momentum_step(
                 [phases, digital][:moving], [g_phases, g_digital][:moving], [v_phases, v_digital][:moving],
@@ -427,8 +429,6 @@ def _momentum_sgd(
             rows, r1_stack, phases, digital, v_phases, v_digital, analog, err, prev_best, best = (
                 x[~stop] for x in (rows, r1_stack, phases, digital, v_phases, v_digital, analog, err, prev_best, best)
             )
-            if not len(rows):
-                break
     out_analog[rows], out_digital[rows] = analog, digital
     sq_sum[it + 1 :] += np.add.reduce(final * final)  # every instance has stopped at its final loss
     return it

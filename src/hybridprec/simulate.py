@@ -43,19 +43,19 @@ SCHEME_IDS = (
 
 MSE_METHODS = ("sgd_hybrid", "analog_only")
 
-_SETUP_CHUNK = 1024  # fixed chunk size so threading cannot change results
+_SETUP_CHUNK = 1024  # trials per unit of work handed to a thread; each trial reads its own counter block
 
 _QPSK_SCALE = 1.0 / np.sqrt(2.0)
 
 
-def validate_schemes(schemes) -> tuple[str, ...]:
-    """A non-empty sequence of scheme ids, as a tuple; a bare string is rejected."""
+def validate_schemes(schemes, known: tuple[str, ...]) -> tuple[str, ...]:
+    """A non-empty sequence of ids among ``known``, as a tuple; a bare string is rejected."""
     if isinstance(schemes, str):
         raise ValueError(f"schemes must be a sequence of scheme ids, got the string {schemes!r}")
     schemes = tuple(schemes)
     for s in schemes:
-        if s not in SCHEME_IDS:
-            raise ValueError(f"unknown scheme {s!r}, expected one of {SCHEME_IDS}")
+        if s not in known:
+            raise ValueError(f"unknown scheme {s!r}, expected one of {known}")
     if not schemes:
         raise ValueError("at least one scheme is required")
     return schemes
@@ -69,8 +69,6 @@ class BerCurve:
     snr_db: np.ndarray
     ber: np.ndarray
     ci_halfwidth: np.ndarray
-    trials: int
-    bits_per_trial: int
     errors: np.ndarray
 
 
@@ -81,7 +79,6 @@ class SeCurve:
     scheme: str
     snr_db: np.ndarray
     bits_per_s_hz: np.ndarray
-    channels: int
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,6 @@ class MseCurve:
     scheme: str
     iteration: np.ndarray
     mse: np.ndarray
-    channels: int
 
 
 def noise_variance_for_snr(snr_db: float, ns: int) -> float:
@@ -298,40 +294,37 @@ def ber_curve(
     drawn from the (seed, 0) blocks, and each scheme's precoder/combiner is
     built on it once. At SNR point p the bits and unit noise come from the
     (seed, p) blocks; every scheme transmits that payload through the true
-    channel and detects by SIC on the upper triangle of the effective
-    matrix. Schemes and points are thus paired (common random numbers):
-    each point's Wilson interval is valid on its own, but differences
-    between points are correlated. Each trial reads its own block of Philox
-    counters, so the first ``trials`` draws of a longer run coincide with a
-    shorter run at the same seed, bit for bit.
+    channel and detects by SIC on the effective matrix, of which
+    :func:`sic_detect` reads only the upper triangle. Schemes and points
+    are thus paired (common random numbers): each point's Wilson interval
+    is valid on its own, but differences between points are correlated.
+    Each trial reads its own block of Philox counters, so the first
+    ``trials`` draws of a longer run coincide with a shorter run at the
+    same seed, bit for bit.
     """
-    schemes = validate_schemes(schemes)
+    schemes = validate_schemes(schemes, SCHEME_IDS)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     ensemble = draw_ensemble(dims, trials, seed, 0, threads)
     links = []
     for scheme in schemes:
         precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
         comb_h = np.conj(np.swapaxes(combiners, 1, 2))
-        q_true = comb_h @ ensemble.h @ precoders
-        links.append((comb_h, q_true, np.triu(q_true)))
+        links.append((comb_h, comb_h @ ensemble.h @ precoders))
     errors = np.zeros((len(schemes), snr_grid_db.size), dtype=np.int64)
     for point, snr_db in enumerate(snr_grid_db):
         bits, unit_noise = draw_payload(dims, trials, seed, point, threads)
         noise = noise_sigma_for_snr(float(snr_db), dims.ns) * unit_noise
         s = qpsk_map(bits)
-        for i, (comb_h, q_true, q_upper) in enumerate(links):
-            y = (q_true @ s[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
-            errors[i, point] = np.sum(qpsk_demap(sic_detect(q_upper, y)) != bits)
-    bits_per_trial = 2 * dims.ns
-    n_bits = trials * bits_per_trial
+        for i, (comb_h, q) in enumerate(links):
+            y = (q @ s[..., None])[..., 0] + (comb_h @ noise[..., None])[..., 0]
+            errors[i, point] = np.sum(qpsk_demap(sic_detect(q, y)) != bits)
+    n_bits = trials * 2 * dims.ns
     return [
         BerCurve(
             scheme=scheme,
             snr_db=snr_grid_db,
             ber=errs / n_bits,
             ci_halfwidth=np.array([wilson_halfwidth(int(e), n_bits) for e in errs]),
-            trials=trials,
-            bits_per_trial=bits_per_trial,
             errors=errs,
         )
         for scheme, errs in zip(schemes, errors)
@@ -390,7 +383,7 @@ def se_curve(
     blocks, and each scheme's precoder/combiner is built on it once, so all
     schemes and SNR points see identical channels.
     """
-    schemes = validate_schemes(schemes)
+    schemes = validate_schemes(schemes, SCHEME_IDS)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
     ensemble = draw_ensemble(dims, n_channels, seed, 0, threads)
     curves = []
@@ -398,9 +391,7 @@ def se_curve(
         precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
         rates = spectral_efficiency(ensemble.h, precoders, combiners, snr_grid_db)
         means = [float(np.mean(point_rates)) for point_rates in rates]
-        curves.append(
-            SeCurve(scheme=scheme, snr_db=snr_grid_db, bits_per_s_hz=np.asarray(means), channels=n_channels)
-        )
+        curves.append(SeCurve(scheme=scheme, snr_db=snr_grid_db, bits_per_s_hz=np.asarray(means)))
     return curves
 
 
@@ -421,11 +412,10 @@ def mse_vs_iterations(
     it. The curve runs to the last instance's stop; an instance that
     stopped earlier enters every later iteration's mean with its final loss.
     """
-    if method not in MSE_METHODS:
-        raise ValueError(f"method must be one of {MSE_METHODS}, got {method!r}")
+    validate_schemes((method,), MSE_METHODS)
     targets = gmd(channels, dims.ns).r1
     _, mse, _ = factorize_sgd_batch(targets, dims.nt_rf, cfg, optimize_digital=(method == "sgd_hybrid"))
-    return MseCurve(scheme=method, iteration=np.arange(len(mse)), mse=mse, channels=len(channels))
+    return MseCurve(scheme=method, iteration=np.arange(len(mse)), mse=mse)
 
 
 def iterations_to_plateau(curve: MseCurve, rel: float = 0.05) -> int:

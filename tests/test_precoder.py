@@ -376,13 +376,16 @@ class TestFactorizeSgdBatch:
         with pytest.raises(ValueError, match=f"got {n_seeds} seeds for 3 instances"):
             factorize_sgd_batch(targets, 4, cfg, seeds=list(range(n_seeds)))
 
-    def test_empty_stack(self):
+    def test_empty_stack(self, monkeypatch):
+        gradient, calls = precoder_module.factorization_gradient_batch, []
+        monkeypatch.setattr(precoder_module, "factorization_gradient_batch", lambda *a: calls.append(a) or gradient(*a))
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=120, tolerance=0.0, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no mean of an empty batch
             factors, mse, converged = factorize_sgd_batch(np.empty((0, 8, 2), dtype=complex), 4, cfg)
+        assert not calls  # no instance, no step
         assert factors.analog.shape == (0, 8, 4) and factors.digital.shape == (0, 4, 2)
-        assert mse.shape == (121,) and mse.dtype == float and not mse.any()
+        assert mse.shape == (1,) and mse.dtype == float and not mse.any()
         assert converged.shape == (0,) and converged.dtype == bool
 
     def test_peak_memory_does_not_grow_with_the_cap(self):

@@ -148,6 +148,18 @@ class TestSicDetect:
         with pytest.raises(ValueError):
             sic_detect(np.array([[0.0, 1.0], [0.0, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("scheme", ["fully_digital_gmd", "fully_digital_svd", "phase_projection"])
+    def test_lower_triangle_is_never_read(self, scheme):
+        # ber_curve detects on the full effective channel B^H H D
+        ens = draw_ensemble(DIMS, 400, seed=41, point=0)
+        precoders, combiners = build_scheme_factors(scheme, ens, DIMS)
+        q = np.conj(np.swapaxes(combiners, 1, 2)) @ ens.h @ precoders
+        assert np.any(np.tril(q, -1))
+        for point, snr_db in enumerate((-10.0, 0.0, 10.0)):
+            bits, noise = draw_payload(DIMS, 400, seed=41, point=point)
+            y = link(ens.h, precoders, combiners, qpsk_map(bits), noise_sigma_for_snr(snr_db, 2) * noise)
+            np.testing.assert_array_equal(sic_detect(q, y), sic_detect(np.triu(q), y))
+
     def test_point_stack_equals_per_point_loop_bit_for_bit(self):
         # (points, trials, ns) observations against one (ns, ns) matrix per trial
         ens = draw_ensemble(DIMS, 300, seed=31, point=0)
