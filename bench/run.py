@@ -35,7 +35,8 @@ Every row is the median of ``--repeats`` timed runs, measured with
   ``trials = 2000``, called in-process.
 
 Beside the machine, the file records ``src_lines``: the line count (as
-``wc -l``) of each ``src/hybridprec`` module and their total.
+``wc -l``) of each ``src/hybridprec`` module and their total, and under
+``code`` the same for code lines only (not blank, comment-only or docstring).
 
 Host speed drifts by 1.3-2x within an hour on shared machines, so a fixed
 numpy kernel that never calls hybridprec (the host-speed probe) is timed
@@ -46,6 +47,7 @@ to the mean of the probes on either side of it; compare ratios across files.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -221,9 +223,25 @@ def machine() -> dict:
     }
 
 
+def code_lines(text: str) -> int:
+    """Lines that are not blank, comment-only or part of a docstring (found with ``ast``)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(
+        1
+        for i, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#") and i not in docstrings
+    )
+
+
 def src_lines() -> dict:
-    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted((ROOT / "src" / "hybridprec").glob("*.py"))}
-    return {**counts, "total": sum(counts.values())}
+    texts = {p.name: p.read_text() for p in sorted((ROOT / "src" / "hybridprec").glob("*.py"))}
+    counts = {name: text.count("\n") for name, text in texts.items()}
+    code = {name: code_lines(text) for name, text in texts.items()}
+    return {**counts, "total": sum(counts.values()), "code": {**code, "total": sum(code.values())}}
 
 
 def main(argv: list[str] | None = None) -> int:

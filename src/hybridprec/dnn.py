@@ -129,6 +129,8 @@ class Mlp:
             for name, a in ((f"weight {i}", w), (f"bias {i}", b)):
                 if a.dtype != dtype:
                     raise ValueError(f"{name} dtype {a.dtype} != weight 0 dtype {dtype}")
+        if self.clamp_max < 1 and any(s.activation == "clamp" for s in self.specs):
+            raise ValueError(f"clamp_max must be >= 1, got {self.clamp_max}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -207,44 +209,16 @@ def build_precoder_mlp(
     )
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(0.0, x)
+def _activate(z: np.ndarray, spec: LayerSpec, clamp_max: float) -> None:
+    """Apply the layer's activation to ``z`` in place.
 
-
-def clamp_activation(x: np.ndarray, ns: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise min(max(x, 0), ns): the power-constraint box on the output.
-
-    Written into ``out`` when given (``out=x`` clamps in place).
-    """
-    if ns < 1:
-        raise ValueError(f"ns must be >= 1, got {ns}")
-    y = np.maximum(x, 0.0, out=out)
-    return np.minimum(y, float(ns), out=y)
-
-
-def noise_inject(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. zero-mean Gaussian distortion of standard deviation sigma.
-
-    The noise is drawn in float64 and added in ``x``'s dtype.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return x
-    return x + rng.normal(0.0, sigma, size=x.shape).astype(x.dtype, copy=False)
-
-
-def _apply_activation(
-    z: np.ndarray, spec: LayerSpec, clamp_max: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The layer's activation of z, written into ``out`` when given (``out=z`` works in place).
-
-    ReLU keeps :func:`relu`'s argument order, so -0.0 maps to 0.0 as it does there.
+    ReLU puts 0.0 first, so -0.0 maps to 0.0; the clamp is the box [0, clamp_max].
     """
     if spec.activation == "relu":
-        return np.maximum(0.0, z, out=out)
-    return clamp_activation(z, clamp_max, out)
+        np.maximum(0.0, z, out=z)
+    else:
+        np.maximum(z, 0.0, out=z)
+        np.minimum(z, clamp_max, out=z)
 
 
 def forward(
@@ -262,15 +236,13 @@ def forward(
     ``mode="train"`` (which then requires ``rng``); inference is
     deterministic.
 
-    The cache holds one ``(input, z)`` pair per layer. The first layer's input
-    is ``v`` as given, so the cast copy lives only for the first product and
-    :func:`backward` casts ``v`` again. Each activation is stored once: ``z``
-    is the layer's activation, computed in place over its
-    pre-activation, and it is also the next layer's input. Only a noise layer
-    in training mode keeps its pre-activation as ``z``, because its output
-    (activation plus noise) is a new array. :func:`backward` reads ``z``
-    through masks that are equal on either array: ``z > 0`` for ReLU and
-    ``0 < z < clamp_max`` for the clamp.
+    The cache holds one ``(input, z)`` pair per layer, where ``z`` is the
+    layer's activation, computed in place over its pre-activation. The first
+    layer's input is ``v`` as given, so the cast copy lives only for the
+    first product and :func:`backward` casts ``v`` again. A noise layer in
+    training mode then adds i.i.d. zero-mean Gaussian noise of its
+    ``noise_sigma``, drawn in float64, to a new array that is the next
+    layer's input; every other activation is the next layer's input itself.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -285,11 +257,11 @@ def forward(
     for spec, w, b in zip(net.specs, net.weights, net.biases):
         z = x.astype(w.dtype, copy=False) @ w
         z += b
+        _activate(z, spec, net.clamp_max)
         cache.append((x, z))
+        x = z
         if mode == "train" and spec.noise_sigma > 0:
-            x = noise_inject(_apply_activation(z, spec, net.clamp_max), spec.noise_sigma, rng)
-        else:
-            x = _apply_activation(z, spec, net.clamp_max, out=z)
+            x = z + rng.normal(0.0, spec.noise_sigma, size=z.shape).astype(z.dtype, copy=False)
     out = x[0] if squeeze else x
     return out, cache
 
@@ -301,31 +273,23 @@ def backward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Reverse-mode gradients for every weight and bias.
 
-    ``grad_out`` is dLoss/d(output), shaped like the forward output, and is
-    never written to; it is cast to the network's dtype, in which the
-    gradients are returned. ``cache`` is the one :func:`forward` returned: each
-    layer's input (cast to the network's dtype here) and its activation (or,
-    for a noise layer in training mode, its pre-activation); the masks below
-    read the same on either.
+    ``grad_out`` is dLoss/d(output), shaped like the forward output. It is
+    copied once into the network's dtype, in which the gradients are
+    returned, so the caller's array is never written to. ``cache`` is the
+    one :func:`forward` returned: each layer's input (cast to the network's
+    dtype here) and its activation.
     ReLU takes subgradient 0 at 0; the clamp is flat outside (0, clamp_max);
     noise injection passes gradients through unchanged.
     """
-    grad_out = np.asarray(grad_out, dtype=net.dtype)
-    delta = grad_out.reshape(1, -1) if grad_out.ndim == 1 else grad_out
-    last = len(net.specs) - 1
+    delta = np.array(grad_out, dtype=net.dtype, ndmin=2)
     d_weights = [np.empty(0)] * len(net.weights)
     d_biases = [np.empty(0)] * len(net.biases)
     for i in reversed(range(len(net.specs))):
         x_in, z = cache[i]
-        spec = net.specs[i]
-        if spec.activation == "relu":
-            mask = z > 0
+        if net.specs[i].activation == "relu":
+            delta *= z > 0
         else:
-            mask = (z > 0) & (z < net.clamp_max)
-        if i == last:
-            delta = delta * mask  # the caller's array, never written to
-        else:
-            delta *= mask
+            delta *= (z > 0) & (z < net.clamp_max)
         d_weights[i] = x_in.astype(delta.dtype, copy=False).T @ delta
         d_biases[i] = delta.sum(axis=0)
         if i > 0:

@@ -415,6 +415,17 @@ class TestModelCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "model.npz" in err
 
+    def test_model_with_clamp_max_below_one_exits_with_error(self, tmp_path, capsys):
+        path = self.write_model_config(tmp_path, SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2))
+        model = tmp_path / "model.npz"
+        arrays = dict(np.load(model))
+        arrays["clamp_max"] = np.array(0.5)
+        np.savez(model, **arrays)
+        rc = main(["se", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load the model {model}: clamp_max must be >= 1, got 0.5")
+
 
 class TestPlotScript:
     def test_ber_script_logscale_and_columns(self, tmp_path):

@@ -17,14 +17,11 @@ from hybridprec.dnn import (
     build_dataset,
     build_mlp,
     build_precoder_mlp,
-    clamp_activation,
     default_architecture,
     feature_vector,
     forward,
     infer_precoders,
     load_mlp,
-    noise_inject,
-    relu,
     save_mlp,
     sgd_momentum_step,
     train,
@@ -60,33 +57,52 @@ class TestArchitecture:
             with pytest.raises(ValueError, match="activation must be one of"):
                 LayerSpec(4, activation)
 
+    def test_clamp_max_below_one_rejected_with_a_clamp_layer(self):
+        with pytest.raises(ValueError, match="clamp_max must be >= 1, got 0.5"):
+            build_mlp(3, [LayerSpec(4, "relu"), LayerSpec(2, "clamp")], clamp_max=0.5, seed=0)
+        build_mlp(3, [LayerSpec(4, "relu")], clamp_max=0.5, seed=0)
+
+
+def identity_layer(width, activation, clamp_max=2.0, noise_sigma=0.0):
+    net = build_mlp(width, [LayerSpec(width, activation, noise_sigma)], clamp_max=clamp_max, seed=0)
+    net.weights[0][:] = np.eye(width)
+    net.biases[0][:] = 0.0
+    return net
+
 
 class TestActivations:
+    """The activations and the noise, seen through forward on one identity layer."""
+
     def test_relu(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.5])), [0.0, 0.0, 2.5])
+        out, _ = forward(identity_layer(4, "relu"), np.array([-1.0, -0.0, 0.0, 2.5]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 2.5])
+        assert not np.any(np.signbit(out))
 
     def test_clamp(self):
-        x = np.array([-1.0, 0.5, 5.0])
-        np.testing.assert_array_equal(clamp_activation(x, 2), [0.0, 0.5, 2.0])
+        out, cache = forward(identity_layer(5, "clamp", clamp_max=2.5), np.array([-1.0, 0.0, 1.25, 2.5, 7.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 1.25, 2.5, 2.5])
+        assert cache[0][1] is out.base
 
     def test_clamp_range_property(self):
-        rng = np.random.default_rng(0)
-        out = clamp_activation(10 * rng.standard_normal(1000), 2)
+        x = 10 * np.random.default_rng(0).standard_normal((250, 4))
+        out, _ = forward(identity_layer(4, "clamp"), x)
         assert np.all(out >= 0) and np.all(out <= 2)
 
     def test_noise_zero_sigma_unchanged(self):
-        x = np.arange(5.0)
-        assert np.array_equal(noise_inject(x, 0.0, np.random.default_rng(0)), x)
+        net = build_mlp(4, [LayerSpec(6, "relu", noise_sigma=0.0), LayerSpec(3, "clamp")], clamp_max=2.0, seed=1)
+        x = np.random.default_rng(2).standard_normal((5, 4))
+        want, _ = forward(net, x, mode="infer")
+        got, _ = forward(net, x, mode="train", rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(got, want)
 
     def test_noise_sample_mean(self):
         # law of large numbers: the empirical mean stays within 3 sigma / sqrt(n)
-        x = np.array([1.0, -2.0])
         sigma, n = 0.5, 100_000
-        rng = np.random.default_rng(1)
-        acc = np.zeros_like(x)
-        for _ in range(n):
-            acc += noise_inject(x, sigma, rng)
-        np.testing.assert_allclose(acc / n, x, atol=3 * sigma / np.sqrt(n))
+        x = np.array([1.0, 2.0])
+        out, _ = forward(
+            identity_layer(2, "relu", noise_sigma=sigma), np.tile(x, (n, 1)), mode="train", rng=np.random.default_rng(1)
+        )
+        np.testing.assert_allclose(out.mean(axis=0), x, atol=3 * sigma / np.sqrt(n))
 
 
 class TestForward:
@@ -193,11 +209,11 @@ def reference_forward_backward(net, x, grad_out, mode, rng):
         z = x @ w + b
         cache.append((x, z))
         if spec.activation == "relu":
-            x = relu(z)
+            x = np.maximum(0.0, z)
         else:
-            x = clamp_activation(z, net.clamp_max)
+            x = np.minimum(np.maximum(z, 0.0), net.clamp_max)
         if mode == "train" and spec.noise_sigma > 0:
-            x = noise_inject(x, spec.noise_sigma, rng)
+            x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
     delta = grad_out
     d_weights, d_biases = [None] * len(net.specs), [None] * len(net.specs)
     for i in reversed(range(len(net.specs))):
@@ -216,12 +232,12 @@ def reference_forward_backward(net, x, grad_out, mode, rng):
 class TestSingleActivationCopy:
     """forward caches each activation once, and backward's gradients do not change."""
 
-    def net(self):
+    def net(self, noise_activation="relu"):
         net = build_mlp(
             6,
             [
                 LayerSpec(9, "relu"),
-                LayerSpec(8, "relu", noise_sigma=0.3),
+                LayerSpec(8, noise_activation, noise_sigma=0.3),
                 LayerSpec(7, "relu"),
                 LayerSpec(5, "clamp"),
             ],
@@ -254,16 +270,25 @@ class TestSingleActivationCopy:
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(grad_out, grad_before)
 
-    def test_noise_layer_keeps_pre_activation_in_train_mode(self):
-        net = self.net()
-        x = np.random.default_rng(8).standard_normal((40, 6))
+    @pytest.mark.parametrize("activation", ["relu", "clamp"])
+    def test_noise_layer_caches_its_activation_in_train_mode(self, activation):
+        net = self.net(activation)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40, 6))
+        grad_out = rng.standard_normal((40, 5))
         _, cache = forward(net, x, mode="train", rng=np.random.default_rng(9))
         x_in, z = cache[1]
-        np.testing.assert_array_equal(z, x_in @ net.weights[1] + net.biases[1])
-        assert np.any(z < 0)
-        # every other layer's cached array is its activation, and the next layer's input
-        assert cache[0][1] is cache[1][0] and np.all(cache[0][1] >= 0)
-        assert cache[2][1] is cache[3][0]
+        pre = x_in @ net.weights[1] + net.biases[1]
+        assert np.any(pre < 0) and (activation == "relu" or np.any(pre > net.clamp_max))
+        want = np.maximum(0.0, pre) if activation == "relu" else np.clip(pre, 0.0, net.clamp_max)
+        np.testing.assert_array_equal(z, want)
+        # the next layer reads the activation plus noise; every other activation is the next input itself
+        assert not np.array_equal(cache[2][0], z)
+        assert cache[0][1] is cache[1][0] and cache[2][1] is cache[3][0]
+        d_weights, d_biases = backward(net, cache, grad_out)
+        _, ref_weights, ref_biases = reference_forward_backward(net, x, grad_out, "train", np.random.default_rng(9))
+        for got, want in zip(d_weights + d_biases, ref_weights + ref_biases):
+            np.testing.assert_array_equal(got, want)
 
     def test_inference_forward_peaks_near_its_activations(self):
         import tracemalloc
