@@ -29,7 +29,7 @@ import numpy as np
 import hybridprec
 from hybridprec.channel import DATASET_STREAM, draw_channels
 from hybridprec.decomp import gmd, gmd_from_svd, svd
-from hybridprec.dnn import build_dataset, build_precoder_mlp, load_mlp, save_mlp, train
+from hybridprec.dnn import DEFAULT_NOISE_SIGMA, build_dataset, build_precoder_mlp, load_mlp, save_mlp, train
 from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd
 from hybridprec.simulate import (
     MSE_METHODS,
@@ -57,21 +57,21 @@ class ExperimentConfig:
     nt_rf: int = 4
     nr_rf: int = 4
     ns: int = 2
-    p_nlos: int = 3
-    spacing_ratio: float = 0.5
+    p_nlos: int = SystemDims.p_nlos
+    spacing_ratio: float = SystemDims.spacing_ratio
     snr_grid_db: tuple = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0)
     trials: int = 20000
-    seed: int = 0
+    seed: int = FactorizeConfig.seed
     schemes: tuple = ("fully_digital_gmd", "fully_digital_svd", "sgd_hybrid", "phase_projection")
-    learning_rate: float = 0.001
-    momentum: float = 0.9
-    max_iters: int = 45000
-    tolerance: float = 1e-7
-    batch_size: int = 20
+    learning_rate: float = FactorizeConfig.learning_rate
+    momentum: float = FactorizeConfig.momentum
+    max_iters: int = FactorizeConfig.max_iters
+    tolerance: float = FactorizeConfig.tolerance
+    batch_size: int = FactorizeConfig.batch
     threads: int = 1
     model: str = ""
     train_size: int = 500
-    noise_sigma: float = 0.1
+    noise_sigma: float = DEFAULT_NOISE_SIGMA
     nt_sweep: tuple = (16, 32, 64)
     bench_repeats: int = 5
     bench_iters: int = 50
@@ -492,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
         outputs = run_experiment(cfg, args.out, config_dir=Path(args.config).parent)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for p in outputs:

@@ -118,10 +118,14 @@ class Mlp:
     codec: PrecoderCodec | None = None
 
     def __post_init__(self) -> None:
+        if not len(self.specs) == len(self.weights) == len(self.biases):
+            raise ValueError(f"{len(self.specs)} layers, {len(self.weights)} weights and {len(self.biases)} biases")
         dims = [self.input_dim] + [s.width for s in self.specs]
-        for i, w in enumerate(self.weights):
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (dims[i], dims[i + 1]):
                 raise ValueError(f"weight {i} shape {w.shape} != {(dims[i], dims[i + 1])}")
+            if b.shape != (dims[i + 1],):
+                raise ValueError(f"bias {i} shape {b.shape} != {(dims[i + 1],)}")
         dtype = self.dtype
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"weight 0 dtype {dtype} is not float32 or float64")
@@ -135,10 +139,6 @@ class Mlp:
     @property
     def dtype(self) -> np.dtype:
         return self.weights[0].dtype
-
-    @property
-    def output_dim(self) -> int:
-        return self.specs[-1].width
 
 
 def default_architecture(
@@ -222,37 +222,29 @@ def _activate(z: np.ndarray, spec: LayerSpec, clamp_max: float) -> None:
 
 
 def forward(
-    net: Mlp,
-    v: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
+    net: Mlp, v: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Run the composition of layers; returns (output, cache) for backprop.
 
     ``v`` may be a single feature vector or a (batch, input_dim) matrix. The
     first product casts it to the network's dtype, and the output and the
     activations carry that dtype (a float64 ``v`` would otherwise promote a
-    float32 network's products to float64). Noise layers fire only in
-    ``mode="train"`` (which then requires ``rng``); inference is
-    deterministic.
+    float32 network's products to float64). Noise layers draw from ``rng``
+    and fire only when it is given; without it the pass is deterministic.
 
     The cache holds one ``(input, z)`` pair per layer, where ``z`` is the
     layer's activation, computed in place over its pre-activation. The first
     layer's input is ``v`` as given, so the cast copy lives only for the
-    first product and :func:`backward` casts ``v`` again. A noise layer in
-    training mode then adds i.i.d. zero-mean Gaussian noise of its
+    first product and :func:`backward` casts ``v`` again. A firing noise
+    layer then adds i.i.d. zero-mean Gaussian noise of its
     ``noise_sigma``, drawn in float64, to a new array that is the next
     layer's input; every other activation is the next layer's input itself.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     v = np.asarray(v)
     squeeze = v.ndim == 1
     x = v.reshape(1, -1) if squeeze else v
     if x.shape[1] != net.input_dim:
         raise ValueError(f"input width {x.shape[1]} != network input_dim {net.input_dim}")
-    if mode == "train" and rng is None and any(s.noise_sigma > 0 for s in net.specs):
-        raise ValueError("training mode with noise layers requires an rng")
     cache = []
     for spec, w, b in zip(net.specs, net.weights, net.biases):
         z = x.astype(w.dtype, copy=False) @ w
@@ -260,7 +252,7 @@ def forward(
         _activate(z, spec, net.clamp_max)
         cache.append((x, z))
         x = z
-        if mode == "train" and spec.noise_sigma > 0:
+        if rng is not None and spec.noise_sigma > 0:
             x = z + rng.normal(0.0, spec.noise_sigma, size=z.shape).astype(z.dtype, copy=False)
     out = x[0] if squeeze else x
     return out, cache
@@ -333,37 +325,31 @@ def build_dataset(dims: SystemDims, size: int, seed: int) -> Dataset:
     return Dataset(feature_vector(channels), gmd(channels, dims.ns).r1)
 
 
-def _batch_loss_and_grad(
-    net: Mlp, feats: np.ndarray, targets: np.ndarray, mode: str, rng: np.random.Generator | None
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean root loss over a stacked batch plus parameter gradients of the mean squared loss.
+def _decode(net: Mlp, out: np.ndarray) -> HybridFactors:
+    """Analog and digital factors from network outputs, through the network's codec."""
+    if net.codec is None:
+        raise ValueError("the network was built without a precoder codec")
+    phases, digital = net.codec.decode(out)
+    return HybridFactors(analog=analog_from_phases(phases), digital=digital)
 
-    ``mode="infer"`` evaluates the loss only: it runs neither the gradient
-    kernel nor ``backward``, and the gradient lists come back empty.
-    """
-    codec = net.codec
+
+def _mean_loss(net: Mlp, feats: np.ndarray, targets: np.ndarray) -> float:
+    """Mean root loss over a stacked batch: noise-free, and without a backward pass."""
+    hf = _decode(net, forward(net, feats)[0])  # the activations are freed before decoding
+    return float(np.mean(np.linalg.norm(targets - hf.product, axis=(1, 2))))
+
+
+def _gradients(
+    net: Mlp, feats: np.ndarray, targets: np.ndarray, rng: np.random.Generator
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Parameter gradients of the mean squared loss over a stacked batch, noise drawn from ``rng``."""
     b = len(feats)
-    out, cache = forward(net, feats, mode=mode, rng=rng)
-    if mode == "infer":
-        cache = None  # free the activations before the codec's temporaries pile on
-    phases, digital = codec.decode(out)
-    analog = analog_from_phases(phases)
-    err = targets - analog @ digital
-    loss = float(np.mean(np.linalg.norm(err, axis=(1, 2))))
-    if mode == "infer":
-        return loss, [], []
-    g_phases, g_digital = factorization_gradient_batch(analog, digital, err)
-    phase_scale = 2.0 * np.pi / codec.ns
-    grad_out = np.concatenate(
-        [
-            g_phases.reshape(b, -1) * phase_scale,
-            g_digital.real.reshape(b, -1),
-            g_digital.imag.reshape(b, -1),
-        ],
-        axis=1,
-    ) / b
-    d_weights, d_biases = backward(net, cache, grad_out)
-    return loss, d_weights, d_biases
+    out, cache = forward(net, feats, rng=rng)
+    hf = _decode(net, out)
+    g_phases, g_digital = factorization_gradient_batch(hf.analog, hf.digital, targets - hf.product)
+    parts = (g_phases * (2.0 * np.pi / net.codec.ns), g_digital.real, g_digital.imag)
+    grad_out = np.concatenate([part.reshape(b, -1) for part in parts], axis=1) / b
+    return backward(net, cache, grad_out)
 
 
 def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarray]:
@@ -379,8 +365,6 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     FactorizationDivergedError when the last epoch's loss is non-finite or
     above the untrained net's, evaluated the same way before the first step.
     """
-    if net.codec is None:
-        raise ValueError("training requires a network built with a precoder codec")
     if len(data) < 1:
         raise ValueError("dataset has no training samples")
     feats = data.features.astype(net.dtype, copy=False)
@@ -388,7 +372,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     rng = np.random.default_rng(cfg.seed)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
     # trace[k] is the loss after epoch k, as the factorizer's losses are after step k
-    trace = [_batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)[0]]
+    trace = [_mean_loss(net, feats, targets)]
     prev_best, best = _first_windows()
     steps = 0
     epoch = 0
@@ -399,7 +383,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
             if steps >= cfg.max_iters:
                 break
             idx = order[start : start + cfg.batch]
-            _, d_weights, d_biases = _batch_loss_and_grad(net, feats[idx], targets[idx], mode="train", rng=rng)
+            d_weights, d_biases = _gradients(net, feats[idx], targets[idx], rng)
             sgd_momentum_step(
                 net.weights + net.biases,
                 d_weights + d_biases,
@@ -408,7 +392,7 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
                 epsilon=cfg.learning_rate,
             )
             steps += 1
-        eval_loss, _, _ = _batch_loss_and_grad(net, feats, targets, mode="infer", rng=None)
+        eval_loss = _mean_loss(net, feats, targets)
         trace.append(eval_loss)
         np.minimum(best, eval_loss, out=best)
         if epoch % STOP_WINDOW == 0:
@@ -425,12 +409,7 @@ def infer_precoders(net: Mlp, h: np.ndarray) -> HybridFactors:
     ``h`` is one (nr, nt) channel, or a (b, nr, nt) stack of channels, which
     gives stacked (b, nt, nt_rf) analog and (b, nt_rf, ns) digital factors.
     """
-    if net.codec is None:
-        raise ValueError("inference requires a network built with a precoder codec")
-    out, _ = forward(net, feature_vector(h).astype(net.dtype, copy=False), mode="infer")
-    phases, digital = net.codec.decode(out)
-    analog = analog_from_phases(phases)
-    return power_normalize(HybridFactors(analog=analog, digital=digital))
+    return power_normalize(_decode(net, forward(net, feature_vector(h).astype(net.dtype, copy=False))[0]))
 
 
 def save_mlp(net: Mlp, path: str) -> None:
@@ -457,9 +436,10 @@ def load_mlp(path: str) -> Mlp:
     """Rebuild a network saved by :func:`save_mlp`.
 
     The weights and biases keep the dtype they were saved in: a float32
-    stock network loads as float32, a float64 file as float64. A truncated
-    file, one lacking an array or of another format version, or one whose
-    arrays are not all float32 or all float64 raises ValueError naming it.
+    stock network loads as float32, a float64 file as float64. A path that
+    cannot be read, a truncated file, one lacking an array or of another
+    format version, or one whose arrays do not fit its layers in shape or
+    are not all float32 or all float64 raises ValueError naming it.
     """
     try:  # np.load would take a file without the zip signature for pickled data
         with np.lib.npyio.NpzFile(path, allow_pickle=False) as data:
@@ -485,5 +465,5 @@ def load_mlp(path: str) -> Mlp:
                 clamp_max=float(data["clamp_max"]),
                 codec=codec,
             )
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot load the model {path}: {exc}") from exc

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hybridprec.channel import HALF_WAVELENGTH
+
 
 @dataclass(frozen=True)
 class SystemDims:
@@ -36,7 +38,7 @@ class SystemDims:
     nr_rf: int
     ns: int
     p_nlos: int = 3
-    spacing_ratio: float = 0.5
+    spacing_ratio: float = HALF_WAVELENGTH
 
     def __post_init__(self) -> None:
         for name in ("nt", "nr", "nt_rf", "nr_rf", "ns"):

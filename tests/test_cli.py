@@ -14,8 +14,8 @@ from hybridprec.cli import (
     parse_config,
     run_experiment,
 )
-from hybridprec.dnn import build_precoder_mlp, save_mlp
-from hybridprec.precoder import SystemDims
+from hybridprec.dnn import DEFAULT_NOISE_SIGMA, build_precoder_mlp, save_mlp
+from hybridprec.precoder import FactorizeConfig, SystemDims
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,6 +190,12 @@ class TestConfigChecksItself:
         cfg = parse_config(write_config(tmp_path, BER_CFG), kind="ber")
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             replace(cfg, trials=0)
+
+    def test_defaults_come_from_their_owners(self):
+        cfg = ExperimentConfig(kind="train")
+        assert cfg.factorize_config() == FactorizeConfig()
+        assert cfg.dims() == SystemDims(nt=cfg.nt, nr=cfg.nr, nt_rf=cfg.nt_rf, nr_rf=cfg.nr_rf, ns=cfg.ns)
+        assert cfg.noise_sigma == DEFAULT_NOISE_SIGMA
 
 
 class TestRunExperiment:
@@ -426,6 +432,13 @@ class TestModelCheck:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot load the model {model}: clamp_max must be >= 1, got 0.5")
 
+    def test_model_that_is_a_directory_exits_with_error(self, tmp_path, capsys):
+        text = BER_CFG.replace("schemes = fully_digital_gmd, phase_projection", "schemes = dnn_hybrid\nmodel = .")
+        path = write_config(tmp_path, text)
+        rc = main(["se", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot load the model {tmp_path}")
+
 
 class TestPlotScript:
     def test_ber_script_logscale_and_columns(self, tmp_path):
@@ -471,6 +484,12 @@ class TestMainEntry:
         cfg_path = write_config(tmp_path, "ns = 4\nnt_rf = 2\n")
         rc = main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    def test_out_that_is_a_file_exits_with_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BER_CFG)
+        rc = main(["ber", "--config", str(cfg_path), "--out", str(cfg_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_console_subprocess(self, tmp_path):
         cfg_path = write_config(tmp_path, BER_CFG)

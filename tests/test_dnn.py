@@ -1,3 +1,5 @@
+import inspect
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,8 @@ from hybridprec.dnn import (
     PRECODER_DTYPE,
     LayerSpec,
     PrecoderCodec,
-    _batch_loss_and_grad,
+    _gradients,
+    _mean_loss,
     backward,
     build_dataset,
     build_mlp,
@@ -62,6 +65,11 @@ class TestArchitecture:
             build_mlp(3, [LayerSpec(4, "relu"), LayerSpec(2, "clamp")], clamp_max=0.5, seed=0)
         build_mlp(3, [LayerSpec(4, "relu")], clamp_max=0.5, seed=0)
 
+    def test_one_weight_and_bias_per_layer(self):
+        net = build_mlp(3, [LayerSpec(4, "relu"), LayerSpec(2, "clamp")], clamp_max=2.0, seed=0)
+        with pytest.raises(ValueError, match="2 layers, 2 weights and 1 biases"):
+            replace(net, biases=net.biases[:1])
+
 
 def identity_layer(width, activation, clamp_max=2.0, noise_sigma=0.0):
     net = build_mlp(width, [LayerSpec(width, activation, noise_sigma)], clamp_max=clamp_max, seed=0)
@@ -91,8 +99,8 @@ class TestActivations:
     def test_noise_zero_sigma_unchanged(self):
         net = build_mlp(4, [LayerSpec(6, "relu", noise_sigma=0.0), LayerSpec(3, "clamp")], clamp_max=2.0, seed=1)
         x = np.random.default_rng(2).standard_normal((5, 4))
-        want, _ = forward(net, x, mode="infer")
-        got, _ = forward(net, x, mode="train", rng=np.random.default_rng(0))
+        want, _ = forward(net, x)
+        got, _ = forward(net, x, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(got, want)
 
     def test_noise_sample_mean(self):
@@ -100,7 +108,7 @@ class TestActivations:
         sigma, n = 0.5, 100_000
         x = np.array([1.0, 2.0])
         out, _ = forward(
-            identity_layer(2, "relu", noise_sigma=sigma), np.tile(x, (n, 1)), mode="train", rng=np.random.default_rng(1)
+            identity_layer(2, "relu", noise_sigma=sigma), np.tile(x, (n, 1)), rng=np.random.default_rng(1)
         )
         np.testing.assert_allclose(out.mean(axis=0), x, atol=3 * sigma / np.sqrt(n))
 
@@ -143,17 +151,25 @@ class TestForward:
         net = build_mlp(4, [LayerSpec(6, "relu", noise_sigma=0.5), LayerSpec(2, "clamp")],
                         clamp_max=1.0, seed=0)
         x = np.random.default_rng(3).standard_normal(4)
-        a, _ = forward(net, x, mode="infer")
-        b, _ = forward(net, x, mode="infer")
+        a, _ = forward(net, x)
+        b, _ = forward(net, x)
         np.testing.assert_array_equal(a, b)
 
     def test_training_noise_changes_forward(self):
         net = build_mlp(4, [LayerSpec(64, "relu", noise_sigma=0.5), LayerSpec(2, "relu")],
                         clamp_max=1.0, seed=0)
         x = np.random.default_rng(4).standard_normal(4)
-        a, _ = forward(net, x, mode="train", rng=np.random.default_rng(1))
-        b, _ = forward(net, x, mode="train", rng=np.random.default_rng(2))
+        a, _ = forward(net, x, rng=np.random.default_rng(1))
+        b, _ = forward(net, x, rng=np.random.default_rng(2))
         assert not np.array_equal(a, b)
+
+    def test_noise_fires_when_an_rng_is_given(self):
+        specs = [LayerSpec(64, "relu", noise_sigma=0.5), LayerSpec(2, "relu")]
+        x = np.random.default_rng(4).standard_normal(4)
+        noisy = build_mlp(4, specs, clamp_max=1.0, seed=0)
+        assert not np.array_equal(forward(noisy, x, np.random.default_rng(1))[0], forward(noisy, x)[0])
+        quiet = build_mlp(4, [replace(specs[0], noise_sigma=0.0), specs[1]], clamp_max=1.0, seed=0)
+        np.testing.assert_array_equal(forward(quiet, x, np.random.default_rng(1))[0], forward(quiet, x)[0])
 
 
 class TestBackward:
@@ -201,9 +217,10 @@ class TestBackward:
         assert np.all(d_weights[0] == 0)
 
 
-def reference_forward_backward(net, x, grad_out, mode, rng):
+def reference_forward_backward(net, x, grad_out, rng):
     """Forward and backward as first written: the cache keeps every layer's
-    pre-activation next to a separate activation array."""
+    pre-activation next to a separate activation array. Noise layers fire
+    when ``rng`` is given."""
     cache = []
     for spec, w, b in zip(net.specs, net.weights, net.biases):
         z = x @ w + b
@@ -212,7 +229,7 @@ def reference_forward_backward(net, x, grad_out, mode, rng):
             x = np.maximum(0.0, z)
         else:
             x = np.minimum(np.maximum(z, 0.0), net.clamp_max)
-        if mode == "train" and spec.noise_sigma > 0:
+        if rng is not None and spec.noise_sigma > 0:
             x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
     delta = grad_out
     d_weights, d_biases = [None] * len(net.specs), [None] * len(net.specs)
@@ -227,6 +244,11 @@ def reference_forward_backward(net, x, grad_out, mode, rng):
         if i > 0:
             delta = delta @ net.weights[i].T
     return x, d_weights, d_biases
+
+
+def maybe_rng(seed):
+    """A generator at ``seed``, or None (a noise-free pass) for seed None."""
+    return None if seed is None else np.random.default_rng(seed)
 
 
 class TestSingleActivationCopy:
@@ -250,20 +272,20 @@ class TestSingleActivationCopy:
         net.biases[3][:2] = (0.0, 2.0)
         return net
 
-    @pytest.mark.parametrize("mode", ["infer", "train"])
-    def test_gradients_bit_equal_to_separate_pre_activations(self, mode):
+    @pytest.mark.parametrize("seed", [None, 9], ids=["infer", "train"])
+    def test_gradients_bit_equal_to_separate_pre_activations(self, seed):
         net = self.net()
         rng = np.random.default_rng(8)
         x = rng.standard_normal((40, 6))
         grad_out = rng.standard_normal((40, 5))
         grad_before = grad_out.copy()
-        out, cache = forward(net, x, mode=mode, rng=np.random.default_rng(9))
+        out, cache = forward(net, x, rng=maybe_rng(seed))
         _, z_clamp = cache[3]
         assert np.all(z_clamp[:, 0] == 0.0) and np.all(z_clamp[:, 1] == 2.0)
         assert np.any(cache[0][1][:, 0] == 0.0)
         d_weights, d_biases = backward(net, cache, grad_out)
         ref_out, ref_weights, ref_biases = reference_forward_backward(
-            net, x, grad_out, mode, np.random.default_rng(9)
+            net, x, grad_out, maybe_rng(seed)
         )
         np.testing.assert_array_equal(out, ref_out)
         for got, want in zip(d_weights + d_biases, ref_weights + ref_biases):
@@ -276,7 +298,7 @@ class TestSingleActivationCopy:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((40, 6))
         grad_out = rng.standard_normal((40, 5))
-        _, cache = forward(net, x, mode="train", rng=np.random.default_rng(9))
+        _, cache = forward(net, x, rng=np.random.default_rng(9))
         x_in, z = cache[1]
         pre = x_in @ net.weights[1] + net.biases[1]
         assert np.any(pre < 0) and (activation == "relu" or np.any(pre > net.clamp_max))
@@ -286,7 +308,7 @@ class TestSingleActivationCopy:
         assert not np.array_equal(cache[2][0], z)
         assert cache[0][1] is cache[1][0] and cache[2][1] is cache[3][0]
         d_weights, d_biases = backward(net, cache, grad_out)
-        _, ref_weights, ref_biases = reference_forward_backward(net, x, grad_out, "train", np.random.default_rng(9))
+        _, ref_weights, ref_biases = reference_forward_backward(net, x, grad_out, np.random.default_rng(9))
         for got, want in zip(d_weights + d_biases, ref_weights + ref_biases):
             np.testing.assert_array_equal(got, want)
 
@@ -299,7 +321,7 @@ class TestSingleActivationCopy:
         activation_bytes = 500 * sum(s.width for s in net.specs) * net.dtype.itemsize
         tracemalloc.start()
         try:
-            out, cache = forward(net, x, mode="infer")
+            out, cache = forward(net, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -511,11 +533,11 @@ def reference_train(net, data, cfg):
     gradients."""
     codec = net.codec
 
-    def loss_and_grad(batch, mode, rng):
+    def loss_and_grad(batch, rng):
         b = len(batch)
         feats = np.stack([data.features[j] for j in batch])
         targets = np.stack([data.targets[j] for j in batch])
-        out, cache = forward(net, feats, mode=mode, rng=rng)
+        out, cache = forward(net, feats, rng=rng)
         phases, digital = codec.decode(out)
         analog = np.exp(1j * phases) / np.sqrt(codec.nt)
         err = targets - analog @ digital
@@ -534,7 +556,7 @@ def reference_train(net, data, cfg):
 
     samples = list(range(len(data)))
     rng = np.random.default_rng(cfg.seed)
-    history, steps, epoch = [loss_and_grad(samples, "infer", None)[0]], 0, 0
+    history, steps, epoch = [loss_and_grad(samples, None)[0]], 0, 0
     n_w = len(net.weights)
     velocities = [np.zeros_like(p) for p in net.weights + net.biases]
     while steps < cfg.max_iters:
@@ -544,7 +566,7 @@ def reference_train(net, data, cfg):
             if steps >= cfg.max_iters:
                 break
             batch = [samples[j] for j in order[start : start + cfg.batch]]
-            _, d_weights, d_biases = loss_and_grad(batch, "train", rng)
+            _, d_weights, d_biases = loss_and_grad(batch, rng)
             velocities = [
                 cfg.momentum * v - cfg.learning_rate * g
                 for v, g in zip(velocities, d_weights + d_biases)
@@ -552,11 +574,16 @@ def reference_train(net, data, cfg):
             params = [p + v for p, v in zip(net.weights + net.biases, velocities)]
             net.weights, net.biases = params[:n_w], params[n_w:]
             steps += 1
-        eval_loss, _, _ = loss_and_grad(samples, "infer", None)
+        eval_loss, _, _ = loss_and_grad(samples, None)
         history.append(eval_loss)
         if windowed_stop(history, epoch, cfg.tolerance):
             break
     return net, np.asarray(history[1:])
+
+
+def forward_rng(args, kwargs):
+    """The rng a call of forward was given, by position or by name."""
+    return inspect.signature(forward).bind(*args, **kwargs).arguments.get("rng")
 
 
 class TestTrainMatchesReference:
@@ -594,15 +621,15 @@ class TestTrainMatchesReference:
             original = getattr(dnn_module, name)
 
             def record(*args, _name=name, _original=original, **kwargs):
-                events.append((_name, kwargs.get("mode")))
+                events.append((_name, _name == "forward" and forward_rng(args, kwargs) is not None))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(dnn_module, name, record)
         data = build_dataset(self.dims, 10, 23)
         cfg = FactorizeConfig(learning_rate=0.01, max_iters=9, tolerance=0.0, batch=4, seed=6)
         _, history = train(build_precoder_mlp(self.dims, seed=2), data, cfg)
-        step = [("forward", "train"), ("backward", None), ("sgd_momentum_step", None)]
-        evaluation = [("forward", "infer")]
+        step = [("forward", True), ("backward", False), ("sgd_momentum_step", False)]
+        evaluation = [("forward", False)]  # noise-free, and no backward
         # the untrained net's loss first, for the divergence check; then
         # 3 steps per epoch (4, 4, 2 samples); 9 steps = 3 epochs
         assert len(history) == 3
@@ -676,7 +703,7 @@ class TestPrecision:
 
             def wrapped(*args, **kwargs):
                 result = original(*args, **kwargs)
-                if kwargs.get("mode") != "infer":  # not a loss-only evaluation
+                if name != "forward" or forward_rng(args, kwargs) is not None:  # not a loss-only evaluation
                     seen.setdefault(name, result)  # the first such call is the training step's
                 return result
 
@@ -713,10 +740,10 @@ class TestPrecision:
     def test_gradients_match_the_float64_network(self, seed):
         net = build_precoder_mlp(self.dims, seed=seed)
         data = build_dataset(self.dims, 20, 100 + seed)
-        loss32, dw32, db32 = _batch_loss_and_grad(net, data.features, data.targets, "train", np.random.default_rng(seed))
-        loss64, dw64, db64 = _batch_loss_and_grad(
-            upcast(net), data.features, data.targets, "train", np.random.default_rng(seed)
-        )
+        loss32 = _mean_loss(net, data.features, data.targets)
+        loss64 = _mean_loss(upcast(net), data.features, data.targets)
+        dw32, db32 = _gradients(net, data.features, data.targets, np.random.default_rng(seed))
+        dw64, db64 = _gradients(upcast(net), data.features, data.targets, np.random.default_rng(seed))
         assert loss32 == pytest.approx(loss64, rel=1e-5)
         for got, want in zip(dw32 + db32, dw64 + db64):
             assert got.dtype == np.float32 and want.dtype == np.float64
@@ -782,6 +809,19 @@ class TestSerialization:
         with np.load(path) as saved:
             assert int(saved["format_version"]) == 2
             assert not [k for k in saved.files if k.startswith(("vw", "vb"))]
+
+    @pytest.mark.parametrize("units", [1, 2])
+    def test_file_with_a_wrong_bias_shape_refused(self, tmp_path, units):
+        net = build_precoder_mlp(SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2), seed=4)
+        path = tmp_path / "model.npz"
+        save_mlp(net, str(path))
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["b3"] = payload["b3"][:units]  # one bias would broadcast to all 200 units
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match=re.escape(f"cannot load the model {path}: bias 3 shape ({units},) != (200,)")):
+            load_mlp(str(path))
 
     def test_version_check(self, tmp_path):
         dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
