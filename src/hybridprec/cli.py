@@ -68,7 +68,7 @@ class ExperimentConfig:
     max_iters: int = FactorizeConfig.max_iters
     tolerance: float = FactorizeConfig.tolerance
     batch_size: int = FactorizeConfig.batch
-    threads: int = 1
+    threads: int = 1  # checked and recorded in the manifest, read by nothing; existing configs set it
     model: str = ""
     train_size: int = 500
     noise_sigma: float = DEFAULT_NOISE_SIGMA
@@ -95,7 +95,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 0:
-            raise ConfigError(f"threads must be >= 0 (0 = auto), got {self.threads}")
+            raise ConfigError(f"threads must be >= 0, got {self.threads}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.bench_repeats < 1:
@@ -228,10 +228,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _resolve_threads(threads: int) -> int:
-    return os.cpu_count() or 1 if threads == 0 else threads
-
-
 def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict, extra: dict):
     """Load the configured model, or train one inline when dnn_hybrid is requested.
 
@@ -241,9 +237,7 @@ def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict, extra: dic
     if "dnn_hybrid" not in cfg.schemes:
         return None
     if cfg.model:
-        model_path = Path(cfg.model)
-        if not model_path.is_absolute():
-            model_path = config_dir / model_path
+        model_path = config_dir / cfg.model
         net = load_mlp(str(model_path))
         _check_model(net, cfg.dims(), model_path)
         return net
@@ -298,14 +292,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
     stages: dict = {}
     extra: dict = {}
     outputs: list[Path] = []
-    threads = _resolve_threads(cfg.threads)
     try:
         t0 = time.perf_counter()
         if cfg.kind in ("ber", "se"):
             net = _model_for(cfg, Path(config_dir), stages, extra)
             curves = (ber_curve if cfg.kind == "ber" else se_curve)(
                 cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
-                cfg=cfg.factorize_config(), net=net, threads=threads,
+                cfg=cfg.factorize_config(), net=net,
             )
             if cfg.kind == "ber":
                 header = ["snr_db", "scheme", "ber", "ci_halfwidth", "trials"]
@@ -483,16 +476,13 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", required=True, help="output directory for CSV and manifest")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="override threads (0 = auto)")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, kind=args.kind)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
         outputs = run_experiment(cfg, args.out, config_dir=Path(args.config).parent)
-    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for p in outputs:

@@ -8,9 +8,8 @@ varying factor. Detection is successive interference cancellation down the
 upper triangular effective channel. Every result is a deterministic
 function of (configuration, master seed): grid point p reads stream p of
 the Philox trial blocks of :mod:`hybridprec.channel`, so trial t's paths,
-bits, noise and factorization seed are a pure function of (seed, p, t).
-Neither chunking nor thread count can change the numbers, and a shorter run
-reproduces the first trials of a longer one.
+bits, noise and factorization seed are a pure function of (seed, p, t), and
+a shorter run reproduces the first trials of a longer one.
 
 A BER or SE curve draws its ensemble once: the channels, their SVD/GMD and
 the factorization seeds come from the (seed, 0) blocks, and every scheme's
@@ -23,8 +22,7 @@ but the differences between points are correlated.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +41,9 @@ SCHEME_IDS = (
 
 MSE_METHODS = ("sgd_hybrid", "analog_only")
 
-_SETUP_CHUNK = 1024  # trials per unit of work handed to a thread; each trial reads its own counter block
-
 _QPSK_SCALE = 1.0 / np.sqrt(2.0)
+
+_WILSON_Z = 1.96  # two-sided 95% normal quantile
 
 
 def validate_schemes(schemes, known: tuple[str, ...]) -> tuple[str, ...]:
@@ -166,65 +164,36 @@ def _payload(bits: np.ndarray, noise_r: np.ndarray, noise_phase: np.ndarray) -> 
     return (bits >> np.uint64(63)).astype(np.int64), _complex_normal(noise_r, noise_phase)
 
 
-def _map_chunks(build, trials: int, threads: int) -> list:
-    """``build(lo)`` for each fixed ``_SETUP_CHUNK`` chunk start, on ``threads`` workers."""
-    starts = list(range(0, trials, _SETUP_CHUNK))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, starts))
-    return [build(lo) for lo in starts]
-
-
-def draw_ensemble(
-    dims: SystemDims, trials: int, seed: int, point: int, threads: int = 1
-) -> PointEnsemble:
+def draw_ensemble(dims: SystemDims, trials: int, seed: int, point: int) -> PointEnsemble:
     """Draw ``trials`` channels with their rank-ns SVD and GMD factors, batched.
 
-    The channels are stream ``point`` of the Philox trial blocks. Chunks of
-    ``_SETUP_CHUNK`` trials run on ``threads`` workers; a chunk only sets
-    the counter offset, so the ensemble is the same for every thread count,
-    and its first trials equal a shorter draw at the same (seed, point).
-    A channel of rank below ns raises RankDeficiencyError naming the point
-    and the trial. The payload of the blocks is left to :func:`draw_payload`.
+    The channels are stream ``point`` of the Philox trial blocks, so the
+    first trials equal a shorter draw at the same (seed, point). A channel
+    of rank below ns raises RankDeficiencyError naming the point and the
+    trial. The payload of the blocks is left to :func:`draw_payload`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-
-    def build_chunk(lo: int) -> PointEnsemble:
-        words = _trial_words(dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials))
-        gains, aod, aoa = sample_path_params(words)
-        h = generate_channel(gains, aod, aoa, dims.nt, dims.nr, dims.spacing_ratio)
-        try:
-            f = svd(h, dims.ns)
-        except RankDeficiencyError as exc:
-            error = RankDeficiencyError(f"rank-deficient channel draw at point {point}, trial {lo + exc.index}")
-            error.index = lo + exc.index
-            raise error from exc
-        g = gmd_from_svd(f)
-        return PointEnsemble(h, f.u, f.v, g.w1, g.r1, words[7][:, 0])
-
-    parts = _map_chunks(build_chunk, trials, threads)
-    if len(parts) == 1:
-        return parts[0]
-    return PointEnsemble(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(PointEnsemble)))
+    words = _trial_words(dims, seed, point, 0, trials)
+    gains, aod, aoa = sample_path_params(words)
+    h = generate_channel(gains, aod, aoa, dims.nt, dims.nr, dims.spacing_ratio)
+    try:
+        f = svd(h, dims.ns)
+    except RankDeficiencyError as exc:
+        error = RankDeficiencyError(f"rank-deficient channel draw at point {point}, trial {exc.index}")
+        error.index = exc.index
+        raise error from exc
+    g = gmd_from_svd(f)
+    return PointEnsemble(h, f.u, f.v, g.w1, g.r1, words[7][:, 0])
 
 
-def draw_payload(
-    dims: SystemDims, trials: int, seed: int, point: int, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def draw_payload(dims: SystemDims, trials: int, seed: int, point: int) -> tuple[np.ndarray, np.ndarray]:
     """Bits (trials, 2 ns) and unit noise (trials, nr) of one grid point.
 
     Reads the payload fields of the counter blocks that :func:`draw_ensemble`
-    reads its channels from, chunk by chunk, so the arrays are the same at
-    any thread count and a shorter draw gives their first rows.
+    reads its channels from, so a shorter draw gives their first rows.
     """
-
-    def build_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        words = _trial_words(dims, seed, point, lo, min(lo + _SETUP_CHUNK, trials))
-        return _payload(*words[4:7])
-
-    bits, noise = zip(*_map_chunks(build_chunk, trials, threads))
-    return np.concatenate(bits), np.concatenate(noise)
+    return _payload(*_trial_words(dims, seed, point, 0, trials)[4:7])
 
 
 def build_scheme_factors(
@@ -269,13 +238,13 @@ def build_scheme_factors(
     return precoders, combiners
 
 
-def wilson_halfwidth(errors: int, n: int, z: float = 1.96) -> float:
-    """Half-width of the Wilson 95% score interval for a binomial proportion."""
+def wilson_halfwidth(errors, n: int):
+    """Half-width of the Wilson 95% score interval for a binomial proportion, elementwise over error counts."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p = errors / n
-    denom = 1.0 + z**2 / n
-    return float(z * np.sqrt(p * (1.0 - p) / n + z**2 / (4.0 * n**2)) / denom)
+    denom = 1.0 + _WILSON_Z**2 / n
+    return _WILSON_Z * np.sqrt(p * (1.0 - p) / n + _WILSON_Z**2 / (4.0 * n**2)) / denom
 
 
 def ber_curve(
@@ -286,7 +255,6 @@ def ber_curve(
     seed: int,
     cfg: FactorizeConfig | None = None,
     net: Mlp | None = None,
-    threads: int = 1,
 ) -> list[BerCurve]:
     """Monte-Carlo BER versus SNR, one curve per scheme of ``schemes``, in order.
 
@@ -304,7 +272,7 @@ def ber_curve(
     """
     schemes = validate_schemes(schemes, SCHEME_IDS)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    ensemble = draw_ensemble(dims, trials, seed, 0, threads)
+    ensemble = draw_ensemble(dims, trials, seed, 0)
     links = []
     for scheme in schemes:
         precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)
@@ -312,7 +280,7 @@ def ber_curve(
         links.append((comb_h, comb_h @ ensemble.h @ precoders))
     errors = np.zeros((len(schemes), snr_grid_db.size), dtype=np.int64)
     for point, snr_db in enumerate(snr_grid_db):
-        bits, unit_noise = draw_payload(dims, trials, seed, point, threads)
+        bits, unit_noise = draw_payload(dims, trials, seed, point)
         noise = noise_sigma_for_snr(float(snr_db), dims.ns) * unit_noise
         s = qpsk_map(bits)
         for i, (comb_h, q) in enumerate(links):
@@ -324,7 +292,7 @@ def ber_curve(
             scheme=scheme,
             snr_db=snr_grid_db,
             ber=errs / n_bits,
-            ci_halfwidth=np.array([wilson_halfwidth(int(e), n_bits) for e in errs]),
+            ci_halfwidth=wilson_halfwidth(errs, n_bits),
             errors=errs,
         )
         for scheme, errs in zip(schemes, errors)
@@ -375,7 +343,6 @@ def se_curve(
     seed: int,
     cfg: FactorizeConfig | None = None,
     net: Mlp | None = None,
-    threads: int = 1,
 ) -> list[SeCurve]:
     """Spectral efficiency versus SNR, one curve per scheme of ``schemes``, in order.
 
@@ -385,7 +352,7 @@ def se_curve(
     """
     schemes = validate_schemes(schemes, SCHEME_IDS)
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    ensemble = draw_ensemble(dims, n_channels, seed, 0, threads)
+    ensemble = draw_ensemble(dims, n_channels, seed, 0)
     curves = []
     for scheme in schemes:
         precoders, combiners = build_scheme_factors(scheme, ensemble, dims, cfg=cfg, net=net)

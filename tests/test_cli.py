@@ -230,6 +230,17 @@ class TestRunExperiment:
         assert "compute" in manifest["stages_seconds"]
         assert "ber.csv" in manifest["outputs"]
 
+    def test_threads_key_is_recorded_and_changes_nothing(self, tmp_path):
+        import json
+
+        csvs = {}
+        for threads in (1, 0, 3):
+            cfg = parse_config(write_config(tmp_path, BER_CFG + f"threads = {threads}\n"), kind="ber")
+            run_experiment(cfg, tmp_path / str(threads))
+            csvs[threads] = (tmp_path / str(threads) / "ber.csv").read_bytes()
+            assert json.loads((tmp_path / str(threads) / "manifest.json").read_text())["config"]["threads"] == threads
+        assert csvs[0] == csvs[1] == csvs[3]
+
     def test_gmd_check_summary(self, tmp_path, capsys):
         cfg = parse_config(
             write_config(tmp_path, "nt = 12\nnr = 6\nns = 3\ntrials = 100\nseed = 0\n"),
@@ -396,6 +407,16 @@ class TestModelCheck:
 
     def test_matching_model_runs(self, tmp_path):
         self.run_with_model(tmp_path, SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2))
+        assert len((tmp_path / "out" / "ber.csv").read_text().splitlines()) == 1 + 2
+
+    def test_absolute_model_path_loads_from_another_directory(self, tmp_path):
+        (tmp_path / "models").mkdir()
+        (tmp_path / "configs").mkdir()
+        model = tmp_path / "models" / "model.npz"
+        save_mlp(build_precoder_mlp(SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2), seed=0), str(model))
+        text = BER_CFG.replace("schemes = fully_digital_gmd, phase_projection", f"schemes = dnn_hybrid\nmodel = {model}")
+        cfg_path = write_config(tmp_path / "configs", text)
+        assert main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         assert len((tmp_path / "out" / "ber.csv").read_text().splitlines()) == 1 + 2
 
     def test_mismatch_exits_nonzero_with_message(self, tmp_path, capsys):

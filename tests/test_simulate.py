@@ -178,30 +178,28 @@ class TestSicDetect:
 
 class TestDrawEnsemble:
     def test_prefix_and_thread_invariance_bit_for_bit(self):
-        # 2500 trials span three 1024-trial chunks
+        # a shorter draw is the first trials of a longer one
         full = draw_ensemble(DIMS, 2500, seed=21, point=3)
-        threaded = draw_ensemble(DIMS, 2500, seed=21, point=3, threads=4)
         short = draw_ensemble(DIMS, 1000, seed=21, point=3)
         across = draw_ensemble(DIMS, 1500, seed=21, point=3)
         for f in fields(PointEnsemble):
             a = getattr(full, f.name)
-            assert np.array_equal(a, getattr(threaded, f.name)), f.name
             assert np.array_equal(a[:1000], getattr(short, f.name)), f.name
             assert np.array_equal(a[:1500], getattr(across, f.name)), f.name
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_rank_deficient_trial_is_named(self, monkeypatch, threads):
+    @pytest.mark.parametrize("point", [1, 2])
+    def test_rank_deficient_trial_is_named(self, monkeypatch, point):
+        # the error names the point as well as the global trial index
         real = simulate.generate_channel
 
         def deficient_at_1030(*args):
             h = real(*args)
-            if len(h) != simulate._SETUP_CHUNK:  # the second chunk starts at trial 1024
-                h[1030 - 1024] = np.outer(h[0, :, 0], h[0, 0, :])
+            h[1030] = np.outer(h[0, :, 0], h[0, 0, :])
             return h
 
         monkeypatch.setattr(simulate, "generate_channel", deficient_at_1030)
-        with pytest.raises(RankDeficiencyError, match="point 3, trial 1030") as info:
-            draw_ensemble(DIMS, 1100, seed=21, point=3, threads=threads)
+        with pytest.raises(RankDeficiencyError, match=f"point {point}, trial 1030") as info:
+            draw_ensemble(DIMS, 1100, seed=21, point=point)
         assert info.value.index == 1030
 
     @pytest.mark.parametrize("call", ["draw_ensemble", "se_curve", "ber_curve"])
@@ -265,11 +263,6 @@ class TestBerCurve:
         b = ber_curve(["phase_projection"], [0.0, 5.0], 500, DIMS, seed=14)[0]
         np.testing.assert_array_equal(a.ber, b.ber)
 
-    def test_threads_do_not_change_results(self):
-        a = ber_curve(["fully_digital_gmd"], [0.0], 2500, DIMS, seed=15, threads=1)[0]
-        b = ber_curve(["fully_digital_gmd"], [0.0], 2500, DIMS, seed=15, threads=4)[0]
-        np.testing.assert_array_equal(a.ber, b.ber)
-
     def test_svd_errors_match_closed_form(self):
         # fully digital SVD turns the link into ns parallel channels sigma_i s_i + n_i
         # with white noise, so each bit is wrong with probability
@@ -330,14 +323,14 @@ class TestSharedEnsemble:
 
     NET = build_precoder_mlp(DIMS, seed=0)
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_multi_scheme_equals_one_scheme_calls(self, threads):
-        # 1100 trials span two 1024-trial chunks
-        grid = [-5.0, 0.0, 5.0]
+    @pytest.mark.parametrize("points", [1, 4])
+    def test_multi_scheme_equals_one_scheme_calls(self, points):
+        # one SNR point, and several points sharing the point-0 channels
+        grid = [-5.0, 0.0, 5.0, 10.0][:points]
         kwargs = dict(cfg=CHEAP, net=self.NET)
         singles = {s: ber_curve([s], grid, 1100, DIMS, seed=31, **kwargs)[0] for s in SCHEME_IDS}
         for order in (SCHEME_IDS, SCHEME_IDS[::-1], ("phase_projection", "sgd_hybrid")):
-            curves = ber_curve(order, grid, 1100, DIMS, seed=31, threads=threads, **kwargs)
+            curves = ber_curve(order, grid, 1100, DIMS, seed=31, **kwargs)
             assert [c.scheme for c in curves] == list(order)
             for c in curves:
                 ref = singles[c.scheme]
@@ -347,12 +340,11 @@ class TestSharedEnsemble:
 
     @pytest.mark.parametrize("point", [0, 1, 5])
     def test_payload_equals_point_draw(self, point):
-        # the chunked decode equals one decode of the point's 1500 blocks
+        # the payload is the decode of the point's 1500 blocks
         bits_ref, noise_ref = _payload(*_trial_words(DIMS, 32, point, 0, 1500)[4:7])
-        for threads in (1, 4):
-            bits, noise = draw_payload(DIMS, 1500, seed=32, point=point, threads=threads)
-            assert np.array_equal(bits, bits_ref)
-            assert np.array_equal(noise, noise_ref)
+        bits, noise = draw_payload(DIMS, 1500, seed=32, point=point)
+        assert np.array_equal(bits, bits_ref)
+        assert np.array_equal(noise, noise_ref)
 
     def test_points_use_point_zero_channels_and_their_own_payload(self):
         grid = [0.0, 3.0, 6.0]
@@ -398,17 +390,6 @@ class TestSharedEnsemble:
     def test_bare_string_rejected(self):
         with pytest.raises(ValueError, match="sequence"):
             ber_curve("fully_digital_gmd", [0.0], 10, DIMS, seed=0)
-
-    @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(st.integers(1, 3 * simulate._SETUP_CHUNK), st.integers(2, 3))
-    def test_errors_do_not_depend_on_threads(self, trials, threads):
-        # 1 to 3 chunks of trials; sgd_hybrid reads the chunks' factorization seeds
-        schemes = ("fully_digital_svd", "sgd_hybrid", "phase_projection")
-        kwargs = dict(cfg=FactorizeConfig(learning_rate=0.02, max_iters=10, tolerance=0.0))
-        one = ber_curve(schemes, [-5.0, 5.0], trials, SMALL, seed=37, threads=1, **kwargs)
-        many = ber_curve(schemes, [-5.0, 5.0], trials, SMALL, seed=37, threads=threads, **kwargs)
-        for a, b in zip(one, many):
-            assert np.array_equal(a.errors, b.errors), a.scheme
 
 
 def two_shifter_factors(f: np.ndarray, nt_rf: int) -> HybridFactors:
@@ -607,6 +588,10 @@ class TestMseVsIterations:
 class TestWilson:
     def test_halfwidth_shrinks_with_n(self):
         assert wilson_halfwidth(10, 100) > wilson_halfwidth(100, 1000)
+
+    def test_elementwise_over_counts(self):
+        counts = np.array([0, 7, 500, 1000])
+        np.testing.assert_array_equal(wilson_halfwidth(counts, 1000), [wilson_halfwidth(int(e), 1000) for e in counts])
 
     def test_extremes_bounded(self):
         assert 0 < wilson_halfwidth(0, 1000) < 0.01
