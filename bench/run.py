@@ -1,6 +1,6 @@
 """Layer and end-to-end timings of hybridprec, written as one JSON trajectory file.
 
-Usage, from the root of a checkout (about two minutes on 2 cores):
+Usage, from the root of a checkout (15 s on 2 AMD EPYC cores, 40 s on 2 Xeon cores):
 
     python3 bench/run.py --out bench/BENCH_<tag>.json
 

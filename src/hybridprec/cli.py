@@ -1,6 +1,6 @@
 """Configuration-driven experiment runner with CSV outputs and run manifests.
 
-Subcommands: gmd-check | ber | se | mse | train | complexity-bench, each
+Subcommands: ber | se | mse | train | complexity-bench, each
 reading a line-oriented ``key = value`` config file and writing CSV files, a
 gnuplot script for the curve kinds, and a JSON manifest into the output
 directory. Reruns with the same config and seed produce byte-identical CSV;
@@ -28,7 +28,7 @@ import numpy as np
 
 import hybridprec
 from hybridprec.channel import DATASET_STREAM, draw_channels
-from hybridprec.decomp import gmd, gmd_from_svd, svd
+from hybridprec.decomp import gmd
 from hybridprec.dnn import DEFAULT_NOISE_SIGMA, build_dataset, build_precoder_mlp, load_mlp, save_mlp, train
 from hybridprec.precoder import FactorizeConfig, SystemDims, factorize_sgd
 from hybridprec.simulate import (
@@ -40,7 +40,7 @@ from hybridprec.simulate import (
     validate_schemes,
 )
 
-KINDS = ("gmd-check", "ber", "se", "mse", "train", "complexity-bench")
+KINDS = ("ber", "se", "mse", "train", "complexity-bench")
 
 
 class ConfigError(ValueError):
@@ -89,9 +89,6 @@ class ExperimentConfig:
             self.dims()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.kind != "gmd-check" and self.p_nlos + 1 < self.ns:
-            # a channel of p_nlos + 1 paths has rank at most p_nlos + 1
-            raise ConfigError(f"p_nlos + 1 >= ns must hold for a rank-ns channel, got p_nlos={self.p_nlos}, ns={self.ns}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 0:
@@ -172,8 +169,9 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
 
     Unknown keys are rejected with their line number, and so is a value that
     breaks a rule of :class:`ExperimentConfig`: its error names the last line
-    among the keys the message names. ``kind`` (usually the CLI subcommand)
-    overrides a ``kind`` key in the file; if both are given they must agree.
+    among the keys the message names outside its quoted values. ``kind``
+    (usually the CLI subcommand) overrides a ``kind`` key in the file; if
+    both are given they must agree.
     """
     path = Path(path)
     if not path.is_file():
@@ -207,8 +205,9 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
     try:
         return ExperimentConfig(kind=kind, **values)
     except ConfigError as exc:
-        # the message names the keys it concerns; FactorizeConfig's batch is batch_size
-        named = ("batch_size" if word == "batch" else word for word in re.findall(r"\w+", str(exc)))
+        # the message names its keys outside the quotes around values; FactorizeConfig's batch is batch_size
+        unquoted = re.sub(r"'[^']*'", "", str(exc))
+        named = ("batch_size" if word == "batch" else word for word in re.findall(r"\w+", unquoted))
         found = [lines[k] for k in named if k in lines]
         if not found:
             raise
@@ -318,13 +317,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
                 curve = mse_vs_iterations(method, channels, cfg.dims(), cfg.factorize_config())
                 rows.extend([it, method, mse] for it, mse in zip(curve.iteration, curve.mse))
             _write_curve(out_dir, "mse", ["iteration", "scheme", "mse"], rows, outputs)
-        elif cfg.kind == "gmd-check":
-            csv_path, max_diag, max_recon = _run_gmd_check(cfg, out_dir)
-            outputs.append(csv_path)
-            if max_diag > 1e-8 or max_recon > 1e-8:
-                raise RuntimeError(
-                    f"gmd-check failed: max_diag_dev={max_diag:.3e}, max_recon_err={max_recon:.3e}"
-                )
         elif cfg.kind == "train":
             paths, extra["training"] = _run_train(cfg, out_dir, stages)
             outputs.extend(paths)
@@ -351,35 +343,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
             except OSError:
                 pass
         raise
-
-
-def _run_gmd_check(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, float, float]:
-    """GMD invariants on random complex matrices; prints the worst deviations."""
-    # matrix i takes the real part, then the imaginary part, from the stream
-    parts = np.random.default_rng(cfg.seed).standard_normal((cfg.trials, 2, cfg.nr, cfg.nt))
-    m = parts[:, 0] + 1j * parts[:, 1]
-    truncated = svd(m, cfg.ns)
-    f = gmd_from_svd(truncated)
-    diag_dev = np.max(np.abs(np.diagonal(f.q1, axis1=1, axis2=2).real - f.sigma_bar[:, None]), axis=1) / f.sigma_bar
-    m_ns = truncated.reconstruct()
-    rec_diff = f.reconstruct() - m_ns
-    eye = np.eye(cfg.ns)
-    w1_dev = np.conj(np.swapaxes(f.w1, 1, 2)) @ f.w1 - eye
-    r1_dev = np.conj(np.swapaxes(f.r1, 1, 2)) @ f.r1 - eye
-    rows = [
-        [
-            i,
-            float(diag_dev[i]),
-            float(np.linalg.norm(rec_diff[i]) / np.linalg.norm(m_ns[i])),
-            float(max(np.linalg.norm(w1_dev[i]), np.linalg.norm(r1_dev[i]))),
-        ]
-        for i in range(cfg.trials)
-    ]
-    max_diag, max_recon, max_orth = (max(0.0, *(row[k] for row in rows)) for k in (1, 2, 3))
-    csv_path = out_dir / "gmd_check.csv"
-    _write_csv(csv_path, ["index", "diag_dev", "recon_err", "orth_dev"], rows)
-    print(f"max_diag_dev={max_diag:.3e} max_recon_err={max_recon:.3e} max_orth_dev={max_orth:.3e}")
-    return csv_path, max_diag, max_recon
 
 
 def _run_train(cfg: ExperimentConfig, out_dir: Path, stages: dict) -> tuple[list[Path], dict]:
@@ -468,7 +431,7 @@ def _write_curve(out_dir: Path, kind: str, header: list[str], rows: list[list], 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hybridprec",
-        description="Hybrid precoding experiments: BER/SE/MSE curves, GMD checks, DNN training.",
+        description="Hybrid precoding experiments: BER/SE/MSE curves, DNN training, factorization timing.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:

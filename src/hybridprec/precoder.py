@@ -54,6 +54,9 @@ class SystemDims:
             )
         if self.p_nlos < 0:
             raise ValueError(f"p_nlos must be >= 0, got {self.p_nlos}")
+        if self.p_nlos + 1 < self.ns:
+            # a channel of p_nlos + 1 paths has rank at most p_nlos + 1
+            raise ValueError(f"p_nlos + 1 >= ns must hold for a rank-ns channel, got p_nlos={self.p_nlos}, ns={self.ns}")
         if not self.spacing_ratio > 0:
             raise ValueError(f"spacing_ratio must be > 0, got {self.spacing_ratio}")
 

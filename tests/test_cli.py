@@ -133,7 +133,6 @@ class TestParseConfig:
             ("complexity-bench", "seed = 1\nnt_sweep = 16\n", "at least two nt_sweep values"),
             ("complexity-bench", "seed = 1\nnt_sweep = 16, 2\n", "dimension rule violated .* at sweep nt=2"),
             ("ber", "trials = 5\nseed = -1\n", "seed must be >= 0"),
-            ("gmd-check", "trials = 5\nseed = -1\n", "seed must be >= 0"),
             ("ber", "ns = 4\nnt_rf = 2\n", "ns <= nt_rf <= nt"),
             ("ber", "seed = 1\ntrials = 1.5\n", "cannot parse trials"),
             ("complexity-bench", "seed = 1\nnt_sweep = 16, 3.5\n", "cannot parse nt_sweep"),
@@ -167,6 +166,11 @@ class TestParseConfig:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
     def test_shipped_config_parses(self, path):
         parse_config(path, kind=path.stem.replace("_", "-"))
+
+    def test_value_quoted_back_does_not_pick_the_line(self, tmp_path):
+        # the message quotes the value 'seed'; only the key schemes names a line
+        with pytest.raises(ConfigError, match="line 1: schemes: unknown scheme 'seed'"):
+            parse_config(write_config(tmp_path, "schemes = seed\nseed = 1\n"), kind="ber")
 
     def test_mse_scheme_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1: schemes: unknown scheme 'fully_digital_gmd'"):
@@ -240,17 +244,6 @@ class TestRunExperiment:
             csvs[threads] = (tmp_path / str(threads) / "ber.csv").read_bytes()
             assert json.loads((tmp_path / str(threads) / "manifest.json").read_text())["config"]["threads"] == threads
         assert csvs[0] == csvs[1] == csvs[3]
-
-    def test_gmd_check_summary(self, tmp_path, capsys):
-        cfg = parse_config(
-            write_config(tmp_path, "nt = 12\nnr = 6\nns = 3\ntrials = 100\nseed = 0\n"),
-            kind="gmd-check",
-        )
-        run_experiment(cfg, tmp_path / "out")
-        captured = capsys.readouterr().out
-        assert "max_diag_dev=" in captured
-        max_diag = float(captured.split("max_diag_dev=")[1].split()[0])
-        assert max_diag < 1e-8
 
     def test_se_columns(self, tmp_path):
         text = BER_CFG.replace("trials = 200", "trials = 30")
@@ -500,6 +493,13 @@ class TestMainEntry:
         rc = main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "-1"])
         assert rc == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_unknown_kind_exits_nonzero(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "trials = 5\n")
+        with pytest.raises(SystemExit) as info:
+            main(["gmd-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert info.value.code != 0
+        assert "invalid choice: 'gmd-check'" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path, "ns = 4\nnt_rf = 2\n")

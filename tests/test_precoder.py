@@ -644,6 +644,12 @@ class TestSystemDims:
         with pytest.raises(ValueError, match="spacing_ratio must be > 0"):
             SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2, spacing_ratio=spacing_ratio)
 
+    def test_too_few_paths_for_streams(self):
+        # p_nlos + 1 paths give a channel of rank at most p_nlos + 1
+        with pytest.raises(ValueError, match=r"p_nlos \+ 1 >= ns must hold .* got p_nlos=0, ns=2"):
+            SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2, p_nlos=0)
+        assert SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2, p_nlos=1).p_nlos == 1
+
     def test_valid_dims(self):
         d = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
         assert d.nt == 16
