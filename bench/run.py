@@ -5,7 +5,10 @@ Usage, from the root of a checkout (15 s on 2 AMD EPYC cores, 40 s on 2 Xeon cor
     python3 bench/run.py --out bench/BENCH_<tag>.json
 
 Every row is the median of ``--repeats`` timed runs, measured with
-``time.perf_counter`` only, with BLAS pinned to one thread:
+``time.perf_counter``, with BLAS pinned to one thread. Beside each wall
+time, ``cpu_seconds`` is the median of the same runs' process CPU time
+(``time.process_time``, every thread of the process), so that work moved
+to a second core shows as CPU above wall:
 
 - ``factorize_sgd_batch.iteration.b<n>``: one iteration of the batched
   momentum-SGD factorizer at n = 20, 500, 2000 and 20000 instances, taken as
@@ -25,14 +28,17 @@ Every row is the median of ``--repeats`` timed runs, measured with
 - ``draw_ensemble.t20000``: channels, SVD and GMD of 20000 trials;
 - ``build_dataset.n500``: the MLP training set of 500 channels: draws, GMD
   targets and feature vectors;
-- ``mlp_train.s1500``: 1500 training steps of the precoder MLP, batch 20, on
-  500 channels (the dataset is built once, outside the timing);
 - ``infer_precoders.c500``: one ``infer_precoders`` call of the stock
   (untrained) precoder MLP on 500 dataset-stream channels, features through
   decoded and power-normalized factors; each timed run is the mean of 20
   calls;
 - ``cli_ber.t2000``: ``hybridprec ber`` on ``configs/ber.cfg`` at
-  ``trials = 2000``, called in-process.
+  ``trials = 2000``, called in-process;
+- ``mlp_train.s1500``: 1500 training steps of the precoder MLP, batch 20, on
+  500 channels (the dataset is built once, outside the timing). It runs
+  last: its evaluation thread leaves the process multi-threaded for good,
+  and on 2 AMD EPYC cores that made every later factorizer call about 7%
+  slower, so a row after it would not time what a fresh process does.
 
 Beside the machine, the file records ``src_lines``: the line count (as
 ``wc -l``) of each ``src/hybridprec`` module and their total, and under
@@ -112,13 +118,14 @@ def probe_kernel(runs: int = PROBE_RUNS, iters: int = PROBE_ITERS) -> float:
             digital = digital + 1e-3 * g_digital
             np.linalg.norm(err, axis=(1, 2))
 
-    return statistics.median(timed(kernel) for _ in range(runs))
+    return statistics.median(timed(kernel)[0] for _ in range(runs))
 
 
-def timed(fn) -> float:
-    t0 = time.perf_counter()
+def timed(fn) -> np.ndarray:
+    """Wall and process CPU seconds of one call of ``fn``, as one array, so that rows can combine timings."""
+    w0, c0 = time.perf_counter(), time.process_time()
     fn()
-    return time.perf_counter() - t0
+    return np.array([time.perf_counter() - w0, time.process_time() - c0])
 
 
 def traced_peak_mb(fn) -> float:
@@ -257,19 +264,25 @@ def main(argv: list[str] | None = None) -> int:
         jobs.append((f"factorize_sgd.single.i{SINGLE_ITERS}", single_row_factory(), {"iterations": SINGLE_ITERS}))
         jobs.append((f"draw_ensemble.t{DRAW_TRIALS}", draw_row, {"trials": DRAW_TRIALS}))
         jobs.append((f"build_dataset.n{DATASET_SIZE}", dataset_row, {"samples": DATASET_SIZE}))
-        jobs.append((f"mlp_train.s{TRAIN_STEPS}", train_row_factory(), {"steps": TRAIN_STEPS, "batch": 20}))
         jobs.append((f"infer_precoders.c{INFER_CHANNELS}", infer_row_factory(), {"channels": INFER_CHANNELS, "calls": INFER_CALLS}))
         jobs.append((f"cli_ber.t{CLI_TRIALS}", cli_row_factory(Path(tmp)), {"config": "configs/ber.cfg"}))
+        jobs.append((f"mlp_train.s{TRAIN_STEPS}", train_row_factory(), {"steps": TRAIN_STEPS, "batch": 20}))
         for name, fn, info in jobs:
-            runs = [fn() for _ in range(args.repeats)]
+            timings = [fn() for _ in range(args.repeats)]
+            runs = [float(t[0]) for t in timings]
+            cpu_runs = [float(t[1]) for t in timings]
             probes.append(probe_kernel())
             seconds = statistics.median(runs)
             probe = (probes[-2] + probes[-1]) / 2.0
-            row = {"name": name, "seconds": seconds, "runs": runs, "probe_s": probe, "ratio": seconds / probe, **info}
+            row = {
+                "name": name, "seconds": seconds, "runs": runs,
+                "cpu_seconds": statistics.median(cpu_runs), "cpu_runs": cpu_runs,
+                "probe_s": probe, "ratio": seconds / probe, **info,
+            }
             if "instances" in info:
                 row["us_per_instance_iter"] = seconds / info["instances"] * 1e6
             rows.append(row)
-            print(f"{name:42s} {seconds:10.5f} s  ratio {seconds / probe:9.4f}", file=sys.stderr)
+            print(f"{name:42s} {seconds:10.5f} s  cpu {row['cpu_seconds']:10.5f} s  ratio {seconds / probe:9.4f}", file=sys.stderr)
     result = {
         "machine": machine(),
         "src_lines": src_lines(),

@@ -318,8 +318,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
                 rows.extend([it, method, mse] for it, mse in zip(curve.iteration, curve.mse))
             _write_curve(out_dir, "mse", ["iteration", "scheme", "mse"], rows, outputs)
         elif cfg.kind == "train":
-            paths, extra["training"] = _run_train(cfg, out_dir, stages)
-            outputs.extend(paths)
+            extra["training"] = _run_train(cfg, out_dir, stages, outputs)
         else:  # complexity-bench
             outputs.append(_run_complexity_bench(cfg, out_dir))
         stages["compute"] = time.perf_counter() - t0 - sum(stages.values())
@@ -345,17 +344,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
         raise
 
 
-def _run_train(cfg: ExperimentConfig, out_dir: Path, stages: dict) -> tuple[list[Path], dict]:
-    """Build the dataset, train, save; returns the outputs and the manifest's training block."""
+def _run_train(cfg: ExperimentConfig, out_dir: Path, stages: dict, outputs: list[Path]) -> dict:
+    """Build the dataset, train, save; returns the manifest's training block.
+
+    Each file joins ``outputs`` as soon as it is written, so a failed run
+    removes the model it saved.
+    """
     net, history, training = _train_model(cfg, stages)
     t0 = time.perf_counter()
     model_path = out_dir / "model.npz"
     save_mlp(net, str(model_path))
+    outputs.append(model_path)
     csv_path = out_dir / "train_history.csv"
     _write_csv(csv_path, ["epoch", "loss"], [[i, v] for i, v in enumerate(history, start=1)])
+    outputs.append(csv_path)
     stages["save"] = time.perf_counter() - t0
     print(f"final_train_loss={history[-1]:.6f} epochs={len(history)}")
-    return [model_path, csv_path], training
+    return training
 
 
 def _run_complexity_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:

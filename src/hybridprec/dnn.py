@@ -20,6 +20,7 @@ finite-difference gradient audits of forward and backward are meaningful.
 from __future__ import annotations
 
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -364,6 +365,12 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     epoch-loss improvement falls below ``cfg.tolerance``. Raises
     FactorizationDivergedError when the last epoch's loss is non-finite or
     above the untrained net's, evaluated the same way before the first step.
+
+    Each epoch's evaluation runs on one helper thread, which lives for this
+    call, against a copy of the parameters the epoch ended with, while the
+    next epoch trains; at most one is in flight. The history is the one the
+    evaluations would give in turn, and a stop at a window end waits for
+    that epoch's loss, so no step is taken beyond it.
     """
     if len(data) < 1:
         raise ValueError("dataset has no training samples")
@@ -374,31 +381,45 @@ def train(net: Mlp, data: Dataset, cfg: FactorizeConfig) -> tuple[Mlp, np.ndarra
     # trace[k] is the loss after epoch k, as the factorizer's losses are after step k
     trace = [_mean_loss(net, feats, targets)]
     prev_best, best = _first_windows()
+    snapshot = replace(net, weights=[w.copy() for w in net.weights], biases=[b.copy() for b in net.biases])
+    pending = None  # the evaluation of ``snapshot`` in flight
+
+    def collect() -> None:
+        nonlocal pending
+        if pending is not None:
+            trace.append(pending.result())
+            np.minimum(best, trace[-1], out=best)
+            pending = None
+
     steps = 0
     epoch = 0
-    while steps < cfg.max_iters:
-        epoch += 1
-        order = rng.permutation(len(feats))
-        for start in range(0, len(order), cfg.batch):
-            if steps >= cfg.max_iters:
-                break
-            idx = order[start : start + cfg.batch]
-            d_weights, d_biases = _gradients(net, feats[idx], targets[idx], rng)
-            sgd_momentum_step(
-                net.weights + net.biases,
-                d_weights + d_biases,
-                velocities,
-                alpha=cfg.momentum,
-                epsilon=cfg.learning_rate,
-            )
-            steps += 1
-        eval_loss = _mean_loss(net, feats, targets)
-        trace.append(eval_loss)
-        np.minimum(best, eval_loss, out=best)
-        if epoch % STOP_WINDOW == 0:
-            stop, prev_best, best = _window_end(prev_best, best, cfg.tolerance)
-            if stop:
-                break
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        while steps < cfg.max_iters:
+            epoch += 1
+            order = rng.permutation(len(feats))
+            for start in range(0, len(order), cfg.batch):
+                if steps >= cfg.max_iters:
+                    break
+                idx = order[start : start + cfg.batch]
+                d_weights, d_biases = _gradients(net, feats[idx], targets[idx], rng)
+                sgd_momentum_step(
+                    net.weights + net.biases,
+                    d_weights + d_biases,
+                    velocities,
+                    alpha=cfg.momentum,
+                    epsilon=cfg.learning_rate,
+                )
+                steps += 1
+            collect()  # the last epoch's loss, before its snapshot is overwritten
+            for copy, live in zip(snapshot.weights + snapshot.biases, net.weights + net.biases):
+                np.copyto(copy, live)
+            pending = helper.submit(_mean_loss, snapshot, feats, targets)
+            if epoch % STOP_WINDOW == 0:
+                collect()
+                stop, prev_best, best = _window_end(prev_best, best, cfg.tolerance)
+                if stop:
+                    break
+        collect()
     check_divergence("training", trace[0], trace[-1], cfg.learning_rate)
     return net, np.asarray(trace[1:])
 

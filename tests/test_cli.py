@@ -326,6 +326,19 @@ class TestRunExperiment:
         training = json.loads((tmp_path / "out" / "manifest.json").read_text())["training"]
         assert (training["epochs"], training["steps"]) == (4, 10)
 
+    def test_failed_train_run_removes_its_model(self, tmp_path, capsys):
+        # the history cannot be written over a directory, after the model is saved
+        text = (
+            "nt = 8\nnr = 4\nnt_rf = 4\nnr_rf = 4\nns = 2\ntrain_size = 6\n"
+            "max_iters = 10\nbatch_size = 2\nseed = 2\ntolerance = 0.0\n"
+        )
+        (tmp_path / "out" / "train_history.csv").mkdir(parents=True)
+        rc = main(["train", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "model.npz").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_inline_training_recorded_like_a_train_run(self, tmp_path, monkeypatch):
         import json
 

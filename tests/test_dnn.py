@@ -1,5 +1,8 @@
 import inspect
 import re
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -616,12 +619,13 @@ class TestTrainMatchesReference:
         assert len(history) == 7  # 8 steps per epoch, the last epoch cut at step 50
 
     def test_backward_only_in_sgd_steps(self, monkeypatch):
-        events = []
+        events = {}  # thread -> its calls, in order
         for name in ("forward", "backward", "sgd_momentum_step"):
             original = getattr(dnn_module, name)
 
             def record(*args, _name=name, _original=original, **kwargs):
-                events.append((_name, _name == "forward" and forward_rng(args, kwargs) is not None))
+                noisy = _name == "forward" and forward_rng(args, kwargs) is not None
+                events.setdefault(threading.get_ident(), []).append((_name, noisy))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(dnn_module, name, record)
@@ -630,10 +634,91 @@ class TestTrainMatchesReference:
         _, history = train(build_precoder_mlp(self.dims, seed=2), data, cfg)
         step = [("forward", True), ("backward", False), ("sgd_momentum_step", False)]
         evaluation = [("forward", False)]  # noise-free, and no backward
-        # the untrained net's loss first, for the divergence check; then
         # 3 steps per epoch (4, 4, 2 samples); 9 steps = 3 epochs
         assert len(history) == 3
-        assert events == evaluation + (step * 3 + evaluation) * 3
+        main = events.pop(threading.get_ident())
+        [helper] = events.values()
+        # the untrained net's loss, for the divergence check, then every step on this
+        # thread; each epoch's loss on the helper thread
+        assert main == evaluation + step * 9
+        assert helper == evaluation * 3
+
+    @pytest.fixture
+    def slow_evaluations(self, monkeypatch):
+        # each evaluation sleeps before it reads the parameters, so the next epoch
+        # trains ahead of it, and the threads switch often
+        mean_loss = dnn_module._mean_loss
+
+        def slow_mean_loss(*args):
+            time.sleep(0.02)
+            return mean_loss(*args)
+
+        monkeypatch.setattr(dnn_module, "_mean_loss", slow_mean_loss)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        yield
+        sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "size, cfg, epochs",
+        [
+            # one step per epoch; tolerance 1 stops at the first decision, at epoch 100
+            (4, FactorizeConfig(learning_rate=0.01, max_iters=1000, tolerance=1.0, batch=4, seed=7), 2 * STOP_WINDOW),
+            # 8 steps per epoch, the last epoch cut at step 50
+            (30, FactorizeConfig(learning_rate=0.01, max_iters=50, tolerance=0.0, batch=4, seed=5), 7),
+        ],
+    )
+    def test_slow_evaluations_do_not_change_training(self, slow_evaluations, size, cfg, epochs):
+        history = self.assert_same_training(build_dataset(self.dims, size, 24), cfg, noise_sigma=0.1)
+        assert len(history) == epochs
+
+    @pytest.mark.parametrize("margin, epochs", [(1.0 + 1e-6, 2 * STOP_WINDOW), (1.0 - 1e-6, 3 * STOP_WINDOW)])
+    def test_window_end_decides_on_its_own_epochs(self, slow_evaluations, margin, epochs):
+        # a tolerance just above or just below the relative improvement of epochs
+        # 51-100 on epochs 1-50: the run stops at epoch 100 or goes on to the step cap,
+        # so a decision on any other set of losses gets one of the two wrong
+        data = build_dataset(self.dims, 4, 24)
+        cfg = FactorizeConfig(learning_rate=0.001, max_iters=3 * STOP_WINDOW, tolerance=0.0, batch=4, seed=7)
+        _, losses = reference_train(build_precoder_mlp(self.dims, seed=2, noise_sigma=0.1), data, cfg)
+        first, second = min(losses[:STOP_WINDOW]), min(losses[STOP_WINDOW : 2 * STOP_WINDOW])
+        cfg = replace(cfg, tolerance=margin * (first - second) / first)
+        assert len(self.assert_same_training(data, cfg, noise_sigma=0.1)) == epochs
+
+
+class TestTrainHelperThread:
+    """train() leaves no thread behind, on return and on every error."""
+
+    dims = SystemDims(nt=8, nr=4, nt_rf=4, nr_rf=4, ns=2)
+    cfg = FactorizeConfig(learning_rate=0.01, max_iters=12, tolerance=0.0, batch=4, seed=1)
+
+    def test_returns_without_threads(self):
+        before = threading.active_count()
+        train(build_precoder_mlp(self.dims, seed=0), build_dataset(self.dims, 8, 3), self.cfg)
+        assert threading.active_count() == before
+
+    def test_divergence_leaves_no_threads(self):
+        dims = SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2)
+        cfg = FactorizeConfig(learning_rate=1000.0, max_iters=60, tolerance=0.0, batch=20, seed=1)
+        before = threading.active_count()
+        with pytest.raises(FactorizationDivergedError):
+            train(build_precoder_mlp(dims, seed=1), build_dataset(dims, 40, 1), cfg)
+        assert threading.active_count() == before
+
+    def test_failed_evaluation_propagates_and_leaves_no_threads(self, monkeypatch):
+        error = FloatingPointError("evaluation failed")
+        mean_loss = dnn_module._mean_loss
+
+        def failing_on_helper(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return mean_loss(*args)
+
+        monkeypatch.setattr(dnn_module, "_mean_loss", failing_on_helper)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as info:
+            train(build_precoder_mlp(self.dims, seed=0), build_dataset(self.dims, 8, 3), self.cfg)
+        assert info.value is error
+        assert threading.active_count() == before
 
 
 class TestCodecAndInference:
