@@ -38,8 +38,8 @@ def _complex_normal(radius_words: np.ndarray, phase_words: np.ndarray) -> np.nda
     return np.sqrt(-np.log(1.0 - _uniform(radius_words))) * np.exp(2j * np.pi * _uniform(phase_words))
 
 
-def _trial_words(dims: SystemDims, seed: int, stream: int, lo: int, hi: int) -> list[np.ndarray]:
-    """Raw 64-bit words of trials lo..hi-1 of one stream, split by field.
+def _trial_words(dims: SystemDims, seed: int, stream: int, n: int) -> list[np.ndarray]:
+    """Raw 64-bit words of the first n trials of one stream, split by field.
 
     Trial t reads its own block of Philox counters, at offset t times the
     block size, under a key derived from (seed, stream). The block holds per
@@ -51,8 +51,7 @@ def _trial_words(dims: SystemDims, seed: int, stream: int, lo: int, hi: int) -> 
     widths = (n_paths, n_paths, n_paths, n_paths, 2 * dims.ns, dims.nr, dims.nr, 1)
     blocks = -(-sum(widths) // 4)  # Philox4x64 yields four words per counter
     key = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
-    words = np.random.Philox(key=key, counter=lo * blocks).random_raw((hi - lo) * 4 * blocks)
-    words = words.reshape(hi - lo, 4 * blocks)[:, : sum(widths)]
+    words = np.random.Philox(key=key).random_raw(n * 4 * blocks).reshape(n, 4 * blocks)[:, : sum(widths)]
     return np.split(words, np.cumsum(widths)[:-1], axis=1)
 
 
@@ -118,14 +117,15 @@ def generate_channel(gains, aod, aoa, nt: int, nr: int, spacing_ratio: float = H
     return h.reshape(lead + (nr, nt))
 
 
-def draw_channels(dims: SystemDims, n: int, seed: int, stream: int, start: int = 0) -> np.ndarray:
-    """Channels of trials start..start+n-1 of one stream, as an (n, nr, nt) stack.
+def draw_channels(dims: SystemDims, n: int, seed: int, stream: int) -> np.ndarray:
+    """Channels of the first n trials of one stream, as an (n, nr, nt) stack.
 
     Reads the same blocks as a curve's ensemble and ignores their payload
-    fields, so channel t is a pure function of (seed, stream, t); use
+    fields, so channel t is a pure function of (seed, stream, t) and a draw
+    of n trials is the first n of any longer draw; use
     ``stream=DATASET_STREAM`` for channels outside the BER/SE curves.
     """
-    if min(n, start) < 0:
-        raise ValueError(f"n and start must be >= 0, got n={n}, start={start}")
-    gains, aod, aoa = sample_path_params(_trial_words(dims, seed, stream, start, start + n))
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    gains, aod, aoa = sample_path_params(_trial_words(dims, seed, stream, n))
     return generate_channel(gains, aod, aoa, dims.nt, dims.nr, dims.spacing_ratio)

@@ -331,9 +331,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
         }
         manifest_path = out_dir / "manifest.json"
         tmp = manifest_path.with_suffix(".json.tmp")
+        outputs.append(tmp)
         tmp.write_text(json.dumps(manifest, indent=2) + "\n")
         os.replace(tmp, manifest_path)
-        outputs.append(manifest_path)
+        outputs[-1] = manifest_path
         return outputs
     except Exception:
         for p in outputs:

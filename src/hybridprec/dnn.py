@@ -136,6 +136,8 @@ class Mlp:
                     raise ValueError(f"{name} dtype {a.dtype} != weight 0 dtype {dtype}")
         if self.clamp_max < 1 and any(s.activation == "clamp" for s in self.specs):
             raise ValueError(f"clamp_max must be >= 1, got {self.clamp_max}")
+        if self.codec is not None and self.codec.output_dim != dims[-1]:
+            raise ValueError(f"codec output_dim {self.codec.output_dim} != output layer width {dims[-1]}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -460,7 +462,8 @@ def load_mlp(path: str) -> Mlp:
     stock network loads as float32, a float64 file as float64. A path that
     cannot be read, a truncated file, one lacking an array or of another
     format version, or one whose arrays do not fit its layers in shape or
-    are not all float32 or all float64 raises ValueError naming it.
+    are not all float32 or all float64, or whose codec does not fit its
+    output layer, raises ValueError naming it.
     """
     try:  # np.load would take a file without the zip signature for pickled data
         with np.lib.npyio.NpzFile(path, allow_pickle=False) as data:

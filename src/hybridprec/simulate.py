@@ -174,7 +174,7 @@ def draw_ensemble(dims: SystemDims, trials: int, seed: int, point: int) -> Point
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    words = _trial_words(dims, seed, point, 0, trials)
+    words = _trial_words(dims, seed, point, trials)
     gains, aod, aoa = sample_path_params(words)
     h = generate_channel(gains, aod, aoa, dims.nt, dims.nr, dims.spacing_ratio)
     try:
@@ -193,7 +193,7 @@ def draw_payload(dims: SystemDims, trials: int, seed: int, point: int) -> tuple[
     Reads the payload fields of the counter blocks that :func:`draw_ensemble`
     reads its channels from, so a shorter draw gives their first rows.
     """
-    return _payload(*_trial_words(dims, seed, point, 0, trials)[4:7])
+    return _payload(*_trial_words(dims, seed, point, trials)[4:7])
 
 
 def build_scheme_factors(

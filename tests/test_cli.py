@@ -105,6 +105,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.cfg", kind="ber")
 
+    def test_kind_missing(self, tmp_path):
+        with pytest.raises(ConfigError, match="experiment kind missing"):
+            parse_config(write_config(tmp_path, "seed = 1\n"))
+
     @pytest.mark.parametrize("kind", ["mse", "ber"])
     def test_empty_schemes_rejected_with_line_number(self, tmp_path, kind):
         with pytest.raises(ConfigError, match="line 2: schemes: at least one scheme is required"):
@@ -189,6 +193,10 @@ class TestConfigChecksItself:
     def test_train_without_steps_rejected(self):
         with pytest.raises(ConfigError, match="a run that trains needs max_iters >= 1"):
             ExperimentConfig(kind="train", max_iters=0)
+
+    def test_curve_without_grid_rejected(self):
+        with pytest.raises(ConfigError, match="ber requires a non-empty snr_grid_db"):
+            ExperimentConfig(kind="ber", snr_grid_db=())
 
     def test_replace_checks_the_new_value(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BER_CFG), kind="ber")
@@ -339,6 +347,15 @@ class TestRunExperiment:
         assert not (tmp_path / "out" / "model.npz").exists()
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_failed_manifest_leaves_no_temporary_file(self, tmp_path, capsys):
+        # the manifest cannot replace a directory, after the curve and its temporary file are written
+        text = BER_CFG.replace("trials = 200", "trials = 30")
+        (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+        rc = main(["se", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
     def test_inline_training_recorded_like_a_train_run(self, tmp_path, monkeypatch):
         import json
 
@@ -458,6 +475,18 @@ class TestModelCheck:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot load the model {model}: clamp_max must be >= 1, got 0.5")
+
+    def test_model_whose_codec_does_not_fit_its_output_layer_exits_with_error(self, tmp_path, capsys):
+        path = self.write_model_config(tmp_path, SystemDims(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2))
+        model = tmp_path / "model.npz"
+        arrays = dict(np.load(model))
+        arrays["w6"], arrays["b6"] = arrays["w6"][:, :79], arrays["b6"][:79]
+        arrays["widths"][-1] = 79
+        np.savez(model, **arrays)
+        rc = main(["se", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load the model {model}: codec output_dim 80 != output layer width 79")
 
     def test_model_that_is_a_directory_exits_with_error(self, tmp_path, capsys):
         text = BER_CFG.replace("schemes = fully_digital_gmd, phase_projection", "schemes = dnn_hybrid\nmodel = .")

@@ -47,6 +47,10 @@ class TestSvd:
         with pytest.raises(ValueError, match="ns must be in"):
             svd(np.eye(2), ns)
 
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a matrix or a stack of matrices, got shape \(3,\)"):
+            svd(np.ones(3), 1)
+
 
 class TestGeometricMeanSigma:
     def test_two_values(self):
@@ -66,6 +70,11 @@ class TestGeometricMeanSigma:
     def test_nonpositive_rejected(self):
         with pytest.raises(RankDeficiencyError):
             geometric_mean_sigma(np.array([1.0, 0.0]), 2)
+
+    @pytest.mark.parametrize("ns", [0, 3])
+    def test_ns_out_of_range_rejected(self, ns):
+        with pytest.raises(ValueError, match=rf"ns must be in \[1, 2\], got {ns}"):
+            geometric_mean_sigma(np.array([4.0, 1.0]), ns)
 
 
 class TestGmd:

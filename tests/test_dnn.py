@@ -63,6 +63,14 @@ class TestArchitecture:
             with pytest.raises(ValueError, match="activation must be one of"):
                 LayerSpec(4, activation)
 
+    @pytest.mark.parametrize(
+        "width, noise_sigma, message",
+        [(0, 0.0, "width must be >= 1, got 0"), (4, -0.1, "noise_sigma must be >= 0, got -0.1")],
+    )
+    def test_bad_width_or_noise_rejected(self, width, noise_sigma, message):
+        with pytest.raises(ValueError, match=message):
+            LayerSpec(width, noise_sigma=noise_sigma)
+
     def test_clamp_max_below_one_rejected_with_a_clamp_layer(self):
         with pytest.raises(ValueError, match="clamp_max must be >= 1, got 0.5"):
             build_mlp(3, [LayerSpec(4, "relu"), LayerSpec(2, "clamp")], clamp_max=0.5, seed=0)
@@ -72,6 +80,17 @@ class TestArchitecture:
         net = build_mlp(3, [LayerSpec(4, "relu"), LayerSpec(2, "clamp")], clamp_max=2.0, seed=0)
         with pytest.raises(ValueError, match="2 layers, 2 weights and 1 biases"):
             replace(net, biases=net.biases[:1])
+
+    def test_weight_of_wrong_shape_rejected(self):
+        net = build_mlp(3, [LayerSpec(4, "relu"), LayerSpec(2, "clamp")], clamp_max=2.0, seed=0)
+        with pytest.raises(ValueError, match=re.escape("weight 0 shape (4, 3) != (3, 4)")):
+            replace(net, weights=[net.weights[0].T, net.weights[1]])
+
+    def test_codec_must_fit_the_output_layer(self):
+        codec = PrecoderCodec(nt=16, nt_rf=4, ns=2)
+        specs = default_architecture(256, codec.output_dim - 1)
+        with pytest.raises(ValueError, match="codec output_dim 80 != output layer width 79"):
+            build_mlp(256, specs, clamp_max=2.0, seed=0, codec=codec)
 
 
 def identity_layer(width, activation, clamp_max=2.0, noise_sigma=0.0):
@@ -424,10 +443,10 @@ class TestDatasetStream:
 def deficient_draws(bad):
     """draw_channels, except that the stream indices in ``bad`` come back rank 1."""
 
-    def draw(dims, n, seed, stream, start=0):
-        h = draw_channels(dims, n, seed, stream, start=start)
+    def draw(dims, n, seed, stream):
+        h = draw_channels(dims, n, seed, stream)
         for i in range(n):
-            if start + i in bad:
+            if i in bad:
                 h[i] = np.outer(h[i, :, 0], h[i, 0])
         return h
 
@@ -513,10 +532,15 @@ class TestTrain:
         assert prev == np.min(history[:STOP_WINDOW]) and cur == np.min(history[STOP_WINDOW:])
 
     def test_requires_codec(self):
-        net = build_mlp(4, [LayerSpec(2, "clamp")], clamp_max=1.0, seed=0)
+        net = build_mlp(2 * self.dims.nt * self.dims.nr, [LayerSpec(2, "clamp")], clamp_max=1.0, seed=0)
         data = build_dataset(self.dims, 2, 9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the network was built without a precoder codec"):
             train(net, data, FactorizeConfig(max_iters=1))
+
+    def test_empty_dataset_rejected(self):
+        net = build_precoder_mlp(self.dims, seed=0)
+        with pytest.raises(ValueError, match="dataset has no training samples"):
+            train(net, build_dataset(self.dims, 0, 0), FactorizeConfig(max_iters=1))
 
 
 def windowed_stop(history, epoch, tolerance):
@@ -737,6 +761,16 @@ class TestCodecAndInference:
         )
         np.testing.assert_allclose(encoded, o, atol=1e-12)
 
+    def test_decode_of_wrong_width_rejected(self):
+        codec = PrecoderCodec(nt=8, nt_rf=4, ns=2)
+        with pytest.raises(ValueError, match=re.escape("expected output of length 48, got shape (5, 47)")):
+            codec.decode(np.zeros((5, 47)))
+
+    def test_infer_requires_codec(self):
+        net = build_mlp(2 * self.dims.nt * self.dims.nr, [LayerSpec(48, "clamp")], clamp_max=2.0, seed=0)
+        with pytest.raises(ValueError, match="the network was built without a precoder codec"):
+            infer_precoders(net, draw_channels(self.dims, 2, 11, DATASET_STREAM))
+
     def test_infer_constant_modulus_and_power(self):
         net = build_precoder_mlp(self.dims, seed=3)
         h = draw_channels(self.dims, 1, 11, DATASET_STREAM)[0]
@@ -894,6 +928,15 @@ class TestSerialization:
         with np.load(path) as saved:
             assert int(saved["format_version"]) == 2
             assert not [k for k in saved.files if k.startswith(("vw", "vb"))]
+
+    def test_round_trip_without_codec(self, tmp_path):
+        net = build_mlp(3, [LayerSpec(4, "relu"), LayerSpec(2, "clamp")], clamp_max=2.0, seed=0)
+        path = tmp_path / "model.npz"
+        save_mlp(net, str(path))
+        loaded = load_mlp(str(path))
+        assert loaded.codec is None
+        for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("units", [1, 2])
     def test_file_with_a_wrong_bias_shape_refused(self, tmp_path, units):

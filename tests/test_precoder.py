@@ -639,6 +639,12 @@ class TestSystemDims:
         with pytest.raises(ValueError):
             SystemDims(nt=8, nr=2, nt_rf=4, nr_rf=1, ns=2)
 
+    @pytest.mark.parametrize("name", ["nt", "nr", "nt_rf", "nr_rf", "ns"])
+    def test_zero_dimension_rejected(self, name):
+        dims = dict(nt=16, nr=8, nt_rf=4, nr_rf=4, ns=2) | {name: 0}
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            SystemDims(**dims)
+
     @pytest.mark.parametrize("spacing_ratio", [0.0, -0.5])
     def test_spacing_ratio_must_be_positive(self, spacing_ratio):
         with pytest.raises(ValueError, match="spacing_ratio must be > 0"):

@@ -222,7 +222,7 @@ class TestDrawEnsemble:
         assert not np.any(a.h == b.h)
 
     def test_sampler_moments(self):
-        words = _trial_words(DIMS, 22, 0, 0, 20_000)
+        words = _trial_words(DIMS, 22, 0, 20_000)
         gains, aod, aoa = sample_path_params(words)
         bits, noise = _payload(*words[4:7])
         factor_seeds = words[7][:, 0]
@@ -341,7 +341,7 @@ class TestSharedEnsemble:
     @pytest.mark.parametrize("point", [0, 1, 5])
     def test_payload_equals_point_draw(self, point):
         # the payload is the decode of the point's 1500 blocks
-        bits_ref, noise_ref = _payload(*_trial_words(DIMS, 32, point, 0, 1500)[4:7])
+        bits_ref, noise_ref = _payload(*_trial_words(DIMS, 32, point, 1500)[4:7])
         bits, noise = draw_payload(DIMS, 1500, seed=32, point=point)
         assert np.array_equal(bits, bits_ref)
         assert np.array_equal(noise, noise_ref)
@@ -596,3 +596,7 @@ class TestWilson:
     def test_extremes_bounded(self):
         assert 0 < wilson_halfwidth(0, 1000) < 0.01
         assert 0 < wilson_halfwidth(1000, 1000) < 0.01
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            wilson_halfwidth(0, 0)
