@@ -251,10 +251,18 @@ def src_lines() -> dict:
     return {**counts, "total": sum(counts.values()), "code": {**code, "total": sum(code.values())}}
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        # no timed run leaves a row's median undefined
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. bench/BENCH_<tag>.json")
-    parser.add_argument("--repeats", type=int, default=3, help="timed runs per row (default 3)")
+    parser.add_argument("--repeats", type=positive_int, default=3, help="timed runs per row, >= 1 (default 3)")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     probes = [probe_kernel()]

@@ -98,8 +98,7 @@ class ExperimentConfig:
         if self.bench_repeats < 1:
             # no timed repeat leaves every median undefined
             raise ConfigError(f"bench_repeats must be >= 1, got {self.bench_repeats}")
-        trains = self.kind == "train" or (self.kind in ("ber", "se") and "dnn_hybrid" in self.schemes and not self.model)
-        if trains and self.train_size < 1:
+        if self.kind == "train" and self.train_size < 1:
             raise ConfigError(f"a run that trains needs train_size >= 1, got {self.train_size}")
         if self.kind in ("ber", "se", "mse"):
             try:
@@ -108,7 +107,9 @@ class ExperimentConfig:
                 raise ConfigError(f"schemes: {exc}") from exc
         if self.kind in ("ber", "se") and not self.snr_grid_db:
             raise ConfigError(f"{self.kind} requires a non-empty snr_grid_db")
-        if trains and self.max_iters < 1:
+        if self.kind in ("ber", "se") and "dnn_hybrid" in self.schemes and not self.model:
+            raise ConfigError("schemes: dnn_hybrid needs a model file; write one with the train subcommand and set model")
+        if self.kind == "train" and self.max_iters < 1:
             # zero steps give an empty history: no loss to report, no trained model
             raise ConfigError(f"a run that trains needs max_iters >= 1, got {self.max_iters}")
         if self.kind == "complexity-bench":
@@ -137,7 +138,7 @@ class ExperimentConfig:
         )
 
 
-# every key but ``kind`` takes its type from its default; a tuple default is a comma list
+# every key takes its type from its default; a tuple default is a comma list
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "kind"}
 
 
@@ -164,14 +165,13 @@ def _cast(cast: type, raw: str):
     return value
 
 
-def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
-    """Read a ``key = value`` config file, apply defaults, and build the config.
+def parse_config(path: str | Path, kind: str) -> ExperimentConfig:
+    """Read a ``key = value`` config file of the given kind, apply defaults, and build the config.
 
     Unknown keys are rejected with their line number, and so is a value that
     breaks a rule of :class:`ExperimentConfig`: its error names the last line
-    among the keys the message names outside its quoted values. ``kind``
-    (usually the CLI subcommand) overrides a ``kind`` key in the file; if
-    both are given they must agree.
+    among the keys the message names outside its quoted values. The kind
+    (the CLI subcommand) is not a key of the file.
     """
     path = Path(path)
     if not path.is_file():
@@ -187,19 +187,12 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key != "kind" and key not in _DEFAULTS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = raw if key == "kind" else _parse_value(key, raw, lineno)
+        values[key] = _parse_value(key, raw, lineno)
         lines[key] = lineno
-    file_kind = values.pop("kind", None)
-    if kind is None:
-        kind = file_kind
-    elif file_kind is not None and file_kind != kind:
-        raise ConfigError(f"config kind {file_kind!r} does not match requested kind {kind!r}")
-    if kind is None:
-        raise ConfigError("experiment kind missing (no subcommand and no 'kind' key)")
     if kind == "mse" and "schemes" not in values:
         values["schemes"] = MSE_METHODS
     try:
@@ -227,48 +220,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _model_for(cfg: ExperimentConfig, config_dir: Path, stages: dict, extra: dict):
-    """Load the configured model, or train one inline when dnn_hybrid is requested.
-
-    Inline training records the same stage times and ``training`` block as a
-    ``train`` run.
-    """
+def _model_for(cfg: ExperimentConfig, config_dir: Path):
+    """Load the configured model when dnn_hybrid is requested; reject one whose codec or input width does not fit."""
     if "dnn_hybrid" not in cfg.schemes:
         return None
-    if cfg.model:
-        model_path = config_dir / cfg.model
-        net = load_mlp(str(model_path))
-        _check_model(net, cfg.dims(), model_path)
-        return net
-    net, _, extra["training"] = _train_model(cfg, stages)
-    return net
-
-
-def _train_model(cfg: ExperimentConfig, stages: dict):
-    """Build the dataset and train a fresh network, timing the ``dataset`` and ``train`` stages.
-
-    Returns the network, the per-epoch loss history and the manifest's
-    ``training`` block.
-    """
-    t0 = time.perf_counter()
-    data = build_dataset(cfg.dims(), cfg.train_size, cfg.seed)
-    t1 = time.perf_counter()
-    net = build_precoder_mlp(cfg.dims(), seed=cfg.seed, noise_sigma=cfg.noise_sigma)
-    net, history = train(net, data, cfg.factorize_config())
-    stages.update(dataset=t1 - t0, train=time.perf_counter() - t1)
-    # train stops only at an epoch's end or at max_iters
-    steps_per_epoch = -(-len(data) // cfg.batch_size)
-    training = {
-        "epochs": len(history),
-        "steps": min(cfg.max_iters, len(history) * steps_per_epoch),
-        "final_loss": float(history[-1]),
-    }
-    return net, history, training
-
-
-def _check_model(net, dims: SystemDims, path: Path) -> None:
-    """Reject a loaded network whose codec or input width does not fit the config."""
+    path = config_dir / cfg.model
+    net = load_mlp(str(path))
     # build_precoder_mlp's input is the real and imaginary parts of H
+    dims = cfg.dims()
     want = (dims.nt, dims.nt_rf, dims.ns, 2 * dims.nt * dims.nr)
     codec = net.codec
     got = (codec.nt, codec.nt_rf, codec.ns, net.input_dim) if codec else None
@@ -277,6 +236,7 @@ def _check_model(net, dims: SystemDims, path: Path) -> None:
             f"model {path} does not fit the config: its (nt, nt_rf, ns, input_dim) is {got}, "
             f"the config needs {want} (input_dim = 2 * nt * nr)"
         )
+    return net
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str | Path = ".") -> list[Path]:
@@ -294,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
     try:
         t0 = time.perf_counter()
         if cfg.kind in ("ber", "se"):
-            net = _model_for(cfg, Path(config_dir), stages, extra)
+            net = _model_for(cfg, Path(config_dir))
             curves = (ber_curve if cfg.kind == "ber" else se_curve)(
                 cfg.schemes, cfg.snr_grid_db, cfg.trials, cfg.dims(), cfg.seed,
                 cfg=cfg.factorize_config(), net=net,
@@ -346,22 +306,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, config_dir: str |
 
 
 def _run_train(cfg: ExperimentConfig, out_dir: Path, stages: dict, outputs: list[Path]) -> dict:
-    """Build the dataset, train, save; returns the manifest's training block.
+    """Build the dataset, train and save, timing the ``dataset``, ``train`` and ``save`` stages.
 
-    Each file joins ``outputs`` as soon as it is written, so a failed run
-    removes the model it saved.
+    Returns the manifest's ``training`` block. Each file joins ``outputs`` as
+    soon as it is written, so a failed run removes the model it saved.
     """
-    net, history, training = _train_model(cfg, stages)
     t0 = time.perf_counter()
+    data = build_dataset(cfg.dims(), cfg.train_size, cfg.seed)
+    t1 = time.perf_counter()
+    net = build_precoder_mlp(cfg.dims(), seed=cfg.seed, noise_sigma=cfg.noise_sigma)
+    net, history = train(net, data, cfg.factorize_config())
+    t2 = time.perf_counter()
     model_path = out_dir / "model.npz"
     save_mlp(net, str(model_path))
     outputs.append(model_path)
     csv_path = out_dir / "train_history.csv"
     _write_csv(csv_path, ["epoch", "loss"], [[i, v] for i, v in enumerate(history, start=1)])
     outputs.append(csv_path)
-    stages["save"] = time.perf_counter() - t0
+    stages.update(dataset=t1 - t0, train=t2 - t1, save=time.perf_counter() - t2)
     print(f"final_train_loss={history[-1]:.6f} epochs={len(history)}")
-    return training
+    # train stops only at an epoch's end or at max_iters
+    steps_per_epoch = -(-len(data) // cfg.batch_size)
+    return {
+        "epochs": len(history),
+        "steps": min(cfg.max_iters, len(history) * steps_per_epoch),
+        "final_loss": float(history[-1]),
+    }
 
 
 def _run_complexity_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:

@@ -81,6 +81,10 @@ class PrecoderCodec:
     nt_rf: int
     ns: int
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.ns <= self.nt_rf <= self.nt:
+            raise ValueError(f"codec needs 1 <= ns <= nt_rf <= nt, got nt={self.nt}, nt_rf={self.nt_rf}, ns={self.ns}")
+
     @property
     def n_phase(self) -> int:
         return self.nt * self.nt_rf
@@ -462,8 +466,9 @@ def load_mlp(path: str) -> Mlp:
     stock network loads as float32, a float64 file as float64. A path that
     cannot be read, a truncated file, one lacking an array or of another
     format version, or one whose arrays do not fit its layers in shape or
-    are not all float32 or all float64, or whose codec does not fit its
-    output layer, raises ValueError naming it.
+    are not all float32 or all float64, whose layer arrays differ in
+    length, or whose codec breaks ``1 <= ns <= nt_rf <= nt`` or does not
+    fit its output layer, raises ValueError naming it.
     """
     try:  # np.load would take a file without the zip signature for pickled data
         with np.lib.npyio.NpzFile(path, allow_pickle=False) as data:
@@ -472,7 +477,7 @@ def load_mlp(path: str) -> Mlp:
                 raise ValueError(f"unsupported model format version {version}")
             specs = tuple(
                 LayerSpec(int(w), str(a), float(s))
-                for w, a, s in zip(data["widths"], data["activations"], data["noise_sigmas"])
+                for w, a, s in zip(data["widths"], data["activations"], data["noise_sigmas"], strict=True)
             )
             codec_dims = data["codec_dims"]
             codec = (

@@ -84,6 +84,9 @@ class TestParseConfig:
     def test_unknown_key_with_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(write_config(tmp_path, "seed = 1\nbogus = 2\n"), kind="ber")
+        # the subcommand alone gives a run its kind
+        with pytest.raises(ConfigError, match="line 2: unknown key 'kind'"):
+            parse_config(write_config(tmp_path, "seed = 1\nkind = ber\n"), kind="ber")
 
     def test_malformed_line_with_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1"):
@@ -93,10 +96,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(write_config(tmp_path, "seed = 1\nseed = 2\n"), kind="ber")
 
-    def test_kind_mismatch(self, tmp_path):
-        with pytest.raises(ConfigError, match="does not match"):
-            parse_config(write_config(tmp_path, "kind = se\n"), kind="ber")
-
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "# comment\n\nseed = 9\n"), kind="ber")
         assert cfg.seed == 9
@@ -104,10 +103,6 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.cfg", kind="ber")
-
-    def test_kind_missing(self, tmp_path):
-        with pytest.raises(ConfigError, match="experiment kind missing"):
-            parse_config(write_config(tmp_path, "seed = 1\n"))
 
     @pytest.mark.parametrize("kind", ["mse", "ber"])
     def test_empty_schemes_rejected_with_line_number(self, tmp_path, kind):
@@ -121,8 +116,8 @@ class TestParseConfig:
             ("mse", "seed = 1\nspacing_ratio = -0.5\n", "spacing_ratio must be > 0"),
             ("complexity-bench", "seed = 1\nbench_repeats = 0\n", "bench_repeats must be >= 1"),
             ("train", "seed = 1\ntrain_size = 0\n", "train_size >= 1"),
-            ("se", "schemes = dnn_hybrid\ntrain_size = 0\n", "train_size >= 1"),
-            ("ber", "schemes = dnn_hybrid\nmax_iters = 0\n", "a run that trains needs max_iters >= 1"),
+            ("se", "seed = 1\nschemes = dnn_hybrid\n", "schemes: dnn_hybrid needs a model file"),
+            ("ber", "seed = 1\nschemes = dnn_hybrid, fully_digital_gmd\n", "schemes: dnn_hybrid needs a model file"),
             ("train", "seed = 1\nnoise_sigma = -0.1\n", "noise_sigma must be >= 0"),
             ("ber", "seed = 1\nlearning_rate = -0.1\n", "learning_rate must be >= 0"),
             ("mse", "seed = 1\nmomentum = 1.0\n", r"momentum must be in \[0, 1\)"),
@@ -163,10 +158,6 @@ class TestParseConfig:
         assert parse_config(write_config(tmp_path, text), kind="se").train_size == 0
         assert parse_config(write_config(tmp_path, "train_size = 0\n"), kind="ber").train_size == 0
 
-    def test_unknown_kind_in_file_with_line_number(self, tmp_path):
-        with pytest.raises(ConfigError, match="line 1: kind must be one of"):
-            parse_config(write_config(tmp_path, "kind = bogus\nseed = 1\n"))
-
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
     def test_shipped_config_parses(self, path):
         parse_config(path, kind=path.stem.replace("_", "-"))
@@ -197,6 +188,12 @@ class TestConfigChecksItself:
     def test_curve_without_grid_rejected(self):
         with pytest.raises(ConfigError, match="ber requires a non-empty snr_grid_db"):
             ExperimentConfig(kind="ber", snr_grid_db=())
+
+    @pytest.mark.parametrize("kind", ["ber", "se"])
+    def test_dnn_hybrid_without_model_rejected(self, kind):
+        with pytest.raises(ConfigError, match="schemes: dnn_hybrid needs a model file"):
+            ExperimentConfig(kind=kind, schemes=("phase_projection", "dnn_hybrid"))
+        assert ExperimentConfig(kind=kind, schemes=("dnn_hybrid",), model="model.npz").model == "model.npz"
 
     def test_replace_checks_the_new_value(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BER_CFG), kind="ber")
@@ -355,37 +352,6 @@ class TestRunExperiment:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
-
-    def test_inline_training_recorded_like_a_train_run(self, tmp_path, monkeypatch):
-        import json
-
-        import hybridprec.dnn as dnn_module
-
-        steps = []
-        step = dnn_module.sgd_momentum_step
-
-        def counted_step(*args, **kwargs):
-            steps.append(1)
-            return step(*args, **kwargs)
-
-        text = (
-            "nt = 8\nnr = 4\nnt_rf = 4\nnr_rf = 4\nns = 2\ntrain_size = 6\nmax_iters = 10\n"
-            "batch_size = 2\nseed = 2\ntolerance = 0.0\nsnr_grid_db = 0, 10\ntrials = 50\n"
-        )
-        # the model a train run saves gives the same curve as the inline one
-        run_experiment(parse_config(write_config(tmp_path, text, "train.cfg"), kind="train"), tmp_path / "trained")
-        ber_text = text + "schemes = dnn_hybrid, fully_digital_gmd\n"
-        saved = write_config(tmp_path, ber_text + "model = trained/model.npz\n", "saved.cfg")
-        run_experiment(parse_config(saved, kind="ber"), tmp_path / "saved", config_dir=tmp_path)
-        monkeypatch.setattr(dnn_module, "sgd_momentum_step", counted_step)
-        inline = write_config(tmp_path, ber_text, "inline.cfg")
-        run_experiment(parse_config(inline, kind="ber"), tmp_path / "inline", config_dir=tmp_path)
-        manifest = json.loads((tmp_path / "inline" / "manifest.json").read_text())
-        assert {"dataset", "train", "compute"} <= set(manifest["stages_seconds"])
-        trained = json.loads((tmp_path / "trained" / "manifest.json").read_text())["training"]
-        assert manifest["training"] == trained
-        assert manifest["training"]["steps"] == len(steps) == 10
-        assert (tmp_path / "inline" / "ber.csv").read_bytes() == (tmp_path / "saved" / "ber.csv").read_bytes()
 
     def test_train_without_steps_rejected_with_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2: a run that trains needs max_iters >= 1"):

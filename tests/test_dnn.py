@@ -761,6 +761,11 @@ class TestCodecAndInference:
         )
         np.testing.assert_allclose(encoded, o, atol=1e-12)
 
+    @pytest.mark.parametrize("nt, nt_rf, ns", [(4, 2, 0), (4, 2, 3), (4, 5, 2), (0, 0, 0)])
+    def test_codec_dimension_rule(self, nt, nt_rf, ns):
+        with pytest.raises(ValueError, match=re.escape(f"codec needs 1 <= ns <= nt_rf <= nt, got nt={nt}, nt_rf={nt_rf}, ns={ns}")):
+            PrecoderCodec(nt=nt, nt_rf=nt_rf, ns=ns)
+
     def test_decode_of_wrong_width_rejected(self):
         codec = PrecoderCodec(nt=8, nt_rf=4, ns=2)
         with pytest.raises(ValueError, match=re.escape("expected output of length 48, got shape (5, 47)")):
@@ -949,6 +954,33 @@ class TestSerialization:
         with open(path, "wb") as fh:
             np.savez(fh, **payload)
         with pytest.raises(ValueError, match=re.escape(f"cannot load the model {path}: bias 3 shape ({units},) != (200,)")):
+            load_mlp(str(path))
+
+    @pytest.mark.parametrize("key", ["activations", "noise_sigmas"])
+    def test_file_with_a_short_layer_array_refused(self, tmp_path, key):
+        # a 3-layer file whose array has 2 entries would load as a 2-layer network
+        net = build_mlp(3, [LayerSpec(5), LayerSpec(4), LayerSpec(2, "clamp")], clamp_max=2.0, seed=0)
+        path = tmp_path / "model.npz"
+        save_mlp(net, str(path))
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload[key] = payload[key][:2]
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match=re.escape(f"cannot load the model {path}: zip()")):
+            load_mlp(str(path))
+
+    def test_file_whose_codec_breaks_the_dimension_rule_refused(self, tmp_path):
+        # codec (4, 2, 0) decodes 8 outputs, as (2, 2, 1) does, but ns = 0 divides by zero in decode
+        net = build_mlp(3, [LayerSpec(8, "clamp")], clamp_max=2.0, seed=0, codec=PrecoderCodec(nt=2, nt_rf=2, ns=1))
+        path = tmp_path / "model.npz"
+        save_mlp(net, str(path))
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["codec_dims"] = np.array([4, 2, 0])
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match=re.escape(f"cannot load the model {path}: codec needs 1 <= ns <= nt_rf <= nt")):
             load_mlp(str(path))
 
     def test_version_check(self, tmp_path):
